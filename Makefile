@@ -3,7 +3,7 @@
 GO ?= go
 
 # PR-numbered performance artifacts (bump per PR to track the trajectory).
-BENCH_JSON ?= BENCH_8.json
+BENCH_JSON ?= BENCH_12.json
 LOAD_JSON ?= LOAD_8.json
 
 .PHONY: all verify build test race bench loadcheck vet doc lint lint-annotations cover faultmatrix checkpoint pdes cluster reproduce quick serve servegw examples clean

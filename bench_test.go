@@ -223,6 +223,18 @@ func BenchmarkFig8NBody(b *testing.B) {
 	b.ReportMetric(r.Mflops, "sim-Mflops-16cpu")
 }
 
+// BenchmarkCountWorkload is Fig. 8's host-side stage alone at 256K
+// particles: Plummer sphere, Morton sort, octree build, and the sampled
+// force traversals. Run with -benchmem: the tree build's allocation is
+// the bulk of a paper-scale suite's heap.
+func BenchmarkCountWorkload(b *testing.B) {
+	var w *nbody.Workload
+	for i := 0; i < b.N; i++ {
+		w = nbody.CountWorkload(262144, 96, 1)
+	}
+	b.ReportMetric(float64(w.TreeNodes), "sim-tree-nodes")
+}
+
 // BenchmarkAblations runs the design-choice ablation suite (extension).
 func BenchmarkAblations(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -84,6 +84,12 @@ func clone(t *testing.T, p benchPoint) benchPoint {
 	return benchPoint{Label: p.Label, N: p.N, Doc: doc}
 }
 
+// injectedPair names the transition from the last real artifact to the
+// fabricated successor nextPoint appends.
+func injectedPair(benches []benchPoint) string {
+	return benches[len(benches)-1].Label + "→BENCH_99"
+}
+
 // nextPoint fabricates a same-host successor of the last real artifact
 // and lets the caller inject a defect into it.
 func nextPoint(t *testing.T, benches []benchPoint, mutate func(*benchDoc)) []benchPoint {
@@ -120,7 +126,7 @@ func TestSyntheticNsRegressionFails(t *testing.T) {
 	}
 	found := false
 	for _, f := range bad {
-		if f.Kind == "ns-regression" && strings.Contains(f.Bench, "Fig6PIC") && f.Where == "BENCH_6→BENCH_99" {
+		if f.Kind == "ns-regression" && strings.Contains(f.Bench, "Fig6PIC") && f.Where == injectedPair(benches) {
 			found = true
 		}
 	}
@@ -195,7 +201,7 @@ func TestUniformSlowdownIsHostShift(t *testing.T) {
 	}
 	found := false
 	for _, f := range fs {
-		if f.Kind == "host-shift" && f.Where == "BENCH_6→BENCH_99" {
+		if f.Kind == "host-shift" && f.Where == injectedPair(benches) {
 			found = true
 		}
 	}

@@ -63,8 +63,13 @@ func TestTreeCountsAndMass(t *testing.T) {
 // Tree structural invariant: every internal node's count and mass equal
 // the sum over children.
 func TestTreeInternalConsistency(t *testing.T) {
-	b := NewPlummer(3000, 11)
-	tr := Build(b)
+	checkTreeConsistency(t, Build(NewPlummer(3000, 11)))
+}
+
+// checkTreeConsistency fails t unless every internal node's count and
+// mass equal the sums over its children.
+func checkTreeConsistency(t *testing.T, tr *Tree) {
+	t.Helper()
 	for idx := range tr.nodes {
 		nd := &tr.nodes[idx]
 		if nd.body >= 0 {

@@ -5,6 +5,7 @@ import (
 
 	"spp1000/internal/machine"
 	"spp1000/internal/perfmodel"
+	"spp1000/internal/runner"
 	"spp1000/internal/threads"
 	"spp1000/internal/topology"
 )
@@ -47,7 +48,9 @@ const blocks = 64
 // CountWorkload builds the problem, then measures per-block interaction
 // counts by traversing a sample of particles from each microblock and
 // scaling (documented sampling: the tree search cost is statistically
-// uniform within a spatial block).
+// uniform within a spatial block). The blocks are sampled on the
+// runner pool; each writes only its own slot, so the counts do not
+// depend on the pool width.
 func CountWorkload(n int, samplePerBlock int, seed uint64) *Workload {
 	b := NewPlummer(n, seed)
 	SortMorton(b)
@@ -57,12 +60,14 @@ func CountWorkload(n int, samplePerBlock int, seed uint64) *Workload {
 	if samplePerBlock <= 0 || samplePerBlock > blockSize {
 		samplePerBlock = blockSize
 	}
-	for blk := 0; blk < blocks; blk++ {
+	stride := blockSize / samplePerBlock
+	if stride < 1 {
+		stride = 1
+	}
+	visited := make([]int64, blocks)
+	// The sampling function never fails, so neither does Each.
+	_ = runner.Each(blocks, func(blk int) error {
 		lo := blk * blockSize
-		stride := blockSize / samplePerBlock
-		if stride < 1 {
-			stride = 1
-		}
 		var inter, vis int64
 		samples := 0
 		for i := lo; i < lo+blockSize; i += stride {
@@ -72,7 +77,11 @@ func CountWorkload(n int, samplePerBlock int, seed uint64) *Workload {
 			samples++
 		}
 		w.MicroBlocks[blk] = inter * int64(blockSize) / int64(samples)
-		w.Visited += vis * int64(blockSize) / int64(samples)
+		visited[blk] = vis * int64(blockSize) / int64(samples)
+		return nil
+	})
+	for _, v := range visited {
+		w.Visited += v
 	}
 	return w
 }

@@ -7,8 +7,9 @@
 package nbody
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"spp1000/internal/morton"
 	"spp1000/internal/rng"
@@ -64,6 +65,32 @@ func NewPlummer(n int, seed uint64) *Bodies {
 // spatially compact blocks, which is also what gives the static
 // block-partitioned threads their (im)balance.
 func SortMorton(b *Bodies) {
+	recs := mortonKeys(b)
+	if recs == nil {
+		return
+	}
+	// slices.SortFunc is generated from the same pdqsort template as
+	// sort.Slice, so it yields the same permutation, equal keys
+	// included; a stable or radix sort would reorder ties.
+	slices.SortFunc(recs, func(p, q mortonRec) int { return cmp.Compare(p.key, q.key) })
+	scratch := make([]float64, b.N())
+	for _, a := range [...][]float64{b.X, b.Y, b.Z, b.VX, b.VY, b.VZ, b.M} {
+		for i, r := range recs {
+			scratch[i] = a[r.idx]
+		}
+		copy(a, scratch)
+	}
+}
+
+// mortonRec is one body's Morton key.
+type mortonRec struct {
+	key uint64
+	idx int
+}
+
+// mortonKeys returns every body's Morton key in body order, or nil
+// when the bodies span no volume.
+func mortonKeys(b *Bodies) []mortonRec {
 	n := b.N()
 	min, max := math.Inf(1), math.Inf(-1)
 	for i := 0; i < n; i++ {
@@ -78,40 +105,23 @@ func SortMorton(b *Bodies) {
 	}
 	span := max - min
 	if span <= 0 {
-		return
+		return nil
 	}
 	const grid = 1 << 20 // 20-bit keys per axis
-	type rec struct {
-		key uint64
-		idx int
-	}
-	recs := make([]rec, n)
+	recs := make([]mortonRec, n)
 	for i := 0; i < n; i++ {
 		qx := uint64((b.X[i] - min) / span * (grid - 1))
 		qy := uint64((b.Y[i] - min) / span * (grid - 1))
 		qz := uint64((b.Z[i] - min) / span * (grid - 1))
-		recs[i] = rec{key: morton.Encode3(qx, qy, qz), idx: i}
+		recs[i] = mortonRec{key: morton.Encode3(qx, qy, qz), idx: i}
 	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].key < recs[j].key })
-	permute := func(a []float64) {
-		out := make([]float64, n)
-		for i, r := range recs {
-			out[i] = a[r.idx]
-		}
-		copy(a, out)
-	}
-	permute(b.X)
-	permute(b.Y)
-	permute(b.Z)
-	permute(b.VX)
-	permute(b.VY)
-	permute(b.VZ)
-	permute(b.M)
+	return recs
 }
 
-// node is one octree cell.
+// node is one octree cell. Cells do not store their centres: insert is
+// the only reader, and it derives each centre on the way down from the
+// root's.
 type node struct {
-	cx, cy, cz       float64 // cell center
 	half             float64 // half side length
 	mass             float64
 	comX, comY, comZ float64
@@ -122,13 +132,21 @@ type node struct {
 
 // Tree is a built Barnes–Hut octree.
 type Tree struct {
-	nodes  []node
-	bodies *Bodies
+	nodes      []node
+	bodies     *Bodies
+	cx, cy, cz float64 // root cell centre
 }
 
 // NodeBytes is the approximate storage of one tree node as the paper's
-// Fortran code would hold it (used by the performance model).
+// Fortran code would hold it (used by the performance model). It is a
+// model constant, not the size of the Go node.
 const NodeBytes = 88
+
+// nodeCapacity is the node count Build reserves for n bodies. Plummer
+// spheres from 32K to 2M bodies build 1.482–1.486 nodes per body, so
+// 8n/5 holds them without regrowing the slice; denser clusters fall
+// back to append's growth.
+func nodeCapacity(n int) int { return 8*n/5 + 1 }
 
 // Build constructs the octree over the bodies.
 func Build(b *Bodies) *Tree {
@@ -150,17 +168,17 @@ func Build(b *Bodies) *Tree {
 	}
 	half *= 1.0001 // open the boundary
 	cx := (max + min) / 2
-	t := &Tree{bodies: b}
-	root := t.newNode(cx, cx, cx, half)
+	t := &Tree{bodies: b, nodes: make([]node, 0, nodeCapacity(b.N())), cx: cx, cy: cx, cz: cx}
+	t.newNode(half)
 	for i := 0; i < b.N(); i++ {
-		t.insert(root, int32(i))
+		t.insert(int32(i))
 	}
-	t.computeMoments(root)
+	t.computeMoments(0)
 	return t
 }
 
-func (t *Tree) newNode(cx, cy, cz, half float64) int32 {
-	t.nodes = append(t.nodes, node{cx: cx, cy: cy, cz: cz, half: half, body: -1,
+func (t *Tree) newNode(half float64) int32 {
+	t.nodes = append(t.nodes, node{half: half, body: -1,
 		children: [8]int32{-1, -1, -1, -1, -1, -1, -1, -1}})
 	return int32(len(t.nodes) - 1)
 }
@@ -168,24 +186,25 @@ func (t *Tree) newNode(cx, cy, cz, half float64) int32 {
 // NumNodes reports the node count.
 func (t *Tree) NumNodes() int { return len(t.nodes) }
 
-// octant selects the child octant of a point within node n.
-func (t *Tree) octant(n int32, x, y, z float64) int {
+// octant selects the child octant of a point within the cell centred
+// at (cx, cy, cz).
+func octant(cx, cy, cz, x, y, z float64) int {
 	o := 0
-	if x >= t.nodes[n].cx {
+	if x >= cx {
 		o |= 1
 	}
-	if y >= t.nodes[n].cy {
+	if y >= cy {
 		o |= 2
 	}
-	if z >= t.nodes[n].cz {
+	if z >= cz {
 		o |= 4
 	}
 	return o
 }
 
-func (t *Tree) childCenter(n int32, o int) (cx, cy, cz, half float64) {
-	h := t.nodes[n].half / 2
-	cx, cy, cz = t.nodes[n].cx, t.nodes[n].cy, t.nodes[n].cz
+// childCenter is the centre of octant o of the cell centred at
+// (cx, cy, cz), whose children have half side h.
+func childCenter(cx, cy, cz, h float64, o int) (float64, float64, float64) {
 	if o&1 != 0 {
 		cx += h
 	} else {
@@ -201,10 +220,17 @@ func (t *Tree) childCenter(n int32, o int) (cx, cy, cz, half float64) {
 	} else {
 		cz -= h
 	}
-	return cx, cy, cz, h
+	return cx, cy, cz
 }
 
-func (t *Tree) insert(n, body int32) {
+// insert adds a body, descending from the root and carrying the current
+// cell's centre along.
+//
+//simlint:hotpath
+func (t *Tree) insert(body int32) {
+	n := int32(0)
+	cx, cy, cz := t.cx, t.cy, t.cz
+	x, y, z := t.bodies.X, t.bodies.Y, t.bodies.Z
 	for {
 		nd := &t.nodes[n]
 		nd.count++
@@ -213,6 +239,7 @@ func (t *Tree) insert(n, body int32) {
 			nd.body = body
 			return
 		}
+		h := nd.half / 2
 		if nd.body >= 0 {
 			// Singleton leaf: push the resident body down, unless the
 			// two coincide too closely to separate (give up splitting
@@ -222,25 +249,23 @@ func (t *Tree) insert(n, body int32) {
 			}
 			old := nd.body
 			nd.body = -1
-			o := t.octant(n, t.bodies.X[old], t.bodies.Y[old], t.bodies.Z[old])
-			cx, cy, cz, h := t.childCenter(n, o)
-			child := t.newNode(cx, cy, cz, h)
-			nd = &t.nodes[n] // newNode may have reallocated
-			nd.children[o] = child
+			o := octant(cx, cy, cz, x[old], y[old], z[old])
+			child := t.newNode(h)
+			t.nodes[n].children[o] = child // newNode may have reallocated
 			t.nodes[child].body = old
 			t.nodes[child].count = 1
 		}
 		// Internal: descend.
-		o := t.octant(n, t.bodies.X[body], t.bodies.Y[body], t.bodies.Z[body])
+		o := octant(cx, cy, cz, x[body], y[body], z[body])
 		if t.nodes[n].children[o] < 0 {
-			cx, cy, cz, h := t.childCenter(n, o)
-			child := t.newNode(cx, cy, cz, h)
+			child := t.newNode(h)
 			t.nodes[n].children[o] = child
 			t.nodes[child].body = body
 			t.nodes[child].count = 1
 			return
 		}
 		n = t.nodes[n].children[o]
+		cx, cy, cz = childCenter(cx, cy, cz, h, o)
 	}
 }
 
@@ -281,6 +306,8 @@ type ForceStats struct {
 
 // Force computes the softened gravitational acceleration on body i with
 // opening angle theta and softening eps, returning per-call work counts.
+//
+//simlint:hotpath
 func (t *Tree) Force(i int, theta, eps float64) (ax, ay, az float64, st ForceStats) {
 	xi, yi, zi := t.bodies.X[i], t.bodies.Y[i], t.bodies.Z[i]
 	eps2 := eps * eps

@@ -204,23 +204,33 @@ func fig7(ctx context.Context, o Options) (string, error) {
 // one and two hypernodes.
 func Fig8(o Options) (string, error) { return fig8(context.Background(), o) }
 
-func fig8(ctx context.Context, o Options) (string, error) {
-	// Stage 1: the counted workloads (host-side tree builds — by far the
-	// heaviest host compute in the suite) in parallel across sizes.
+// nbodyConfig is one N-body team shape: threads and hypernodes.
+type nbodyConfig struct{ p, hn int }
+
+// nbodySweep runs the N-body study behind Fig. 8 and the JSON report.
+// Stage 1 builds the counted workload of every size (host-side tree
+// builds — by far the heaviest host compute in the suite) in parallel
+// across sizes. Stage 2 times every (size, config) pair, flattened into
+// one pool dispatch. Results are size-major: size i's runs start at
+// i*len(cfgs).
+func nbodySweep(ctx context.Context, o Options, cfgs []nbodyConfig) ([]nbody.Result, error) {
 	ws, err := runner.MapCtx(ctx, len(o.NBodySizes), func(i int) (*nbody.Workload, error) {
 		return nbody.CountWorkload(o.NBodySizes[i], o.NBodySample, o.Seed), nil
 	})
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	// Stage 2: every (size, procs, hypernodes) run, flattened into one
-	// pool dispatch. cfgs[0] doubles as the 1-CPU baseline.
-	cfgs := []struct{ p, hn int }{
-		{1, 1}, {2, 1}, {4, 1}, {8, 1}, {2, 2}, {4, 2}, {8, 2}, {16, 2},
-	}
-	res, err := runner.MapCtx(ctx, len(ws)*len(cfgs), func(i int) (nbody.Result, error) {
+	return runner.MapCtx(ctx, len(ws)*len(cfgs), func(i int) (nbody.Result, error) {
 		return nbody.Run(ws[i/len(cfgs)], cfgs[i%len(cfgs)].p, cfgs[i%len(cfgs)].hn, o.AppSteps)
 	})
+}
+
+func fig8(ctx context.Context, o Options) (string, error) {
+	// cfgs[0] doubles as the 1-CPU baseline.
+	cfgs := []nbodyConfig{
+		{1, 1}, {2, 1}, {4, 1}, {8, 1}, {2, 2}, {4, 2}, {8, 2}, {16, 2},
+	}
+	res, err := nbodySweep(ctx, o, cfgs)
 	if err != nil {
 		return "", err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 
 	"spp1000/internal/apps/fem"
@@ -108,16 +109,7 @@ func BuildReport(o Options) (*Report, error) {
 			r.Fig7 = res
 			return nil
 		case 5:
-			ws, err := runner.Map(len(o.NBodySizes), func(i int) (*nbody.Workload, error) {
-				return nbody.CountWorkload(o.NBodySizes[i], o.NBodySample, o.Seed), nil
-			})
-			if err != nil {
-				return err
-			}
-			cfgs := []struct{ p, hn int }{{1, 1}, {8, 1}, {8, 2}, {16, 2}}
-			res, err := runner.Map(len(ws)*len(cfgs), func(i int) (nbody.Result, error) {
-				return nbody.Run(ws[i/len(cfgs)], cfgs[i%len(cfgs)].p, cfgs[i%len(cfgs)].hn, o.AppSteps)
-			})
+			res, err := nbodySweep(context.TODO(), o, []nbodyConfig{{1, 1}, {8, 1}, {8, 2}, {16, 2}})
 			if err != nil {
 				return err
 			}

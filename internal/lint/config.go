@@ -148,6 +148,10 @@ var RequiredHotpaths = map[string][]string{
 	// The daemon's cache hot path: a hash lookup answering repeat
 	// submissions.
 	"internal/resultcache": {"Cache.Lookup"},
+	// The N-body tree code's force traversal and insert descent: the
+	// paper's §5.3 inner loops, and the bulk of a paper-scale suite's
+	// host time.
+	"internal/apps/nbody": {"Tree.Force", "Tree.insert"},
 }
 
 // MetricsEmitterPackages lists the module-relative package paths whose
