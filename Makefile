@@ -11,11 +11,11 @@ LOAD_JSON ?= LOAD_8.json
 all: build vet lint test race
 
 # Tier-1 verification chain: compile, static checks, doc coverage,
-# simulator invariants, tests, race tests, the fault matrix, the
-# checkpoint resume-exactness gate, the PDES golden-equality gate, the
-# sharded-cluster gate, and the load-harness + perf-trend gate.
+# simulator invariants, tests, race tests, the fault matrix (which runs
+# the checkpoint resume-exactness gate once), the PDES golden-equality
+# gate, the sharded-cluster gate, and the load-harness + perf-trend gate.
 verify:
-	$(GO) build ./... && $(GO) vet ./... && $(GO) run ./cmd/doccheck && $(GO) run ./cmd/simlint && $(GO) test ./... && $(GO) test -race ./... && $(MAKE) faultmatrix && $(MAKE) checkpoint && $(MAKE) pdes && $(MAKE) cluster && $(MAKE) loadcheck
+	$(GO) build ./... && $(GO) vet ./... && $(GO) run ./cmd/doccheck && $(GO) run ./cmd/simlint && $(GO) test ./... && $(GO) test -race ./... && $(MAKE) faultmatrix && $(MAKE) pdes && $(MAKE) cluster && $(MAKE) loadcheck
 
 # Fail on undocumented exported symbols of the core packages
 # (internal/sim, internal/trace, internal/runner, internal/counters,
@@ -24,8 +24,8 @@ doc:
 	$(GO) run ./cmd/doccheck
 
 # Enforce the repo invariants: determinism, sim-time, counter-handle,
-# context-flow, deps, escape-gated hot paths, lock order, and the
-# metrics ledger (see docs/LINT.md).
+# context-flow, deps, escape-gated hot paths, lock order, the metrics
+# ledger, and dead exports (see docs/LINT.md).
 lint:
 	$(GO) run ./cmd/simlint
 
@@ -86,13 +86,11 @@ faultmatrix:
 	$(MAKE) checkpoint
 
 # The checkpoint/resume gate: snapshot encoding round-trips and
-# corruption rejection, kernel/coordinator quiescent snapshots, the
-# kill-at-every-boundary resume-exactness sweep (byte-identical output
+# corruption (and stale-format) rejection, the kill-at-every-boundary resume-exactness sweep (byte-identical output
 # and exactly equal sim totals at -simpar 1/2/4), and the service's
 # checkpointed-job lifecycle — all under the race detector.
 checkpoint:
 	$(GO) test -race ./internal/snapshot
-	$(GO) test -race -run 'TestKernelSnapshot|TestKernelRestore|TestCoordinatorSnapshot|TestCoordinatorRestore' ./internal/sim ./internal/parsim
 	$(GO) test -race -run 'TestCheckpoint' ./internal/experiments
 	$(GO) test -race -run 'TestDeadline|TestRestartResumes|TestDefaultRunnerCheckpoints' ./internal/service
 

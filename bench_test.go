@@ -91,7 +91,7 @@ func BenchmarkFig6PIC(b *testing.B) {
 	o := opts(b)
 	ev0 := sim.TotalEvents()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig6(o); err != nil {
+		if _, err := experiments.Run("fig6", o); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -108,7 +108,7 @@ func BenchmarkFig7FEM(b *testing.B) {
 	o := opts(b)
 	ev0 := sim.TotalEvents()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig7(o); err != nil {
+		if _, err := experiments.Run("fig7", o); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -211,7 +211,7 @@ func BenchmarkFig7FEM128PDES2(b *testing.B) { benchFEM128PDES(b, 2) }
 func BenchmarkFig8NBody(b *testing.B) {
 	o := opts(b)
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig8(o); err != nil {
+		if _, err := experiments.Run("fig8", o); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -247,7 +247,7 @@ func BenchmarkAblations(b *testing.B) {
 // BenchmarkAMR runs the adaptive-mesh-refinement extension.
 func BenchmarkAMR(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AMR(opts(b)); err != nil {
+		if _, err := experiments.Run("amr", opts(b)); err != nil {
 			b.Fatal(err)
 		}
 	}

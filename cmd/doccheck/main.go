@@ -60,7 +60,7 @@ var requiredDocs = map[string]string{
 // Checked only in the no-argument (full-gate) mode.
 var requiredMentions = map[string][]string{
 	"docs/LINT.md": {
-		"allocfree", "lockorder", "ledger",
+		"allocfree", "lockorder", "ledger", "deadexport",
 		"//simlint:hotpath", "//simlint:metrics-writer",
 		"-json", "-annotate",
 	},

@@ -1,6 +1,6 @@
 // Command simlint runs the repo's invariant analyzers (internal/lint)
 // over the module: determinism, simtime, counterhandle, ctxflow, deps,
-// allocfree, lockorder, and ledger.
+// allocfree, lockorder, ledger, and deadexport.
 // It is the multichecker `make lint` and `make verify` invoke after
 // `go vet`.
 //

@@ -28,7 +28,7 @@ func TestFixtureModuleFails(t *testing.T) {
 	}
 	for _, marker := range []string{
 		"(determinism)", "(simtime)", "(counterhandle)", "(ctxflow)",
-		"(allocfree)", "(lockorder)", "(ledger)",
+		"(allocfree)", "(lockorder)", "(ledger)", "(deadexport)",
 		"time.Now", "sim.Cycles",
 		"heap escape in hot path", "lock-order cycle", "metrics-writer",
 	} {

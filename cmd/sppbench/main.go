@@ -10,8 +10,8 @@
 //	sppbench -par 1              # serial (default: all host cores)
 //	sppbench -simpar 4           # partitioned-engine workers (1 = serial)
 //	sppbench -exp all -counters  # append per-component PMU counter tables
-//	sppbench -exp all -checkpoint run.ckpt -checkpoint-every 2
-//	                             # checkpoint progress every 2 experiments
+//	sppbench -exp all -checkpoint run.ckpt
+//	                             # checkpoint after every experiment
 //	sppbench -resume run.ckpt    # resume a killed run from its checkpoint
 //
 // Every sweep point is an independent deterministic simulation, so the
@@ -47,7 +47,6 @@ func main() {
 	simpar := flag.Int("simpar", 0, "host workers for hypernode partitions inside one PDES simulation (0 or 1 = serial)")
 	withCounters := flag.Bool("counters", false, "append a per-component PMU counter breakdown to every experiment")
 	checkpoint := flag.String("checkpoint", "", "checkpoint file: save resumable progress at experiment boundaries")
-	every := flag.Int("checkpoint-every", 1, "experiments between checkpoint saves (with -checkpoint or -resume)")
 	resume := flag.String("resume", "", "resume from this checkpoint file (keeps checkpointing to it unless -checkpoint names another)")
 	flag.Parse()
 
@@ -95,10 +94,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "sppbench: -counters cannot combine with -checkpoint/-resume (the checkpointed driver records counters in the checkpoint itself)")
 			os.Exit(2)
 		}
-		if *every < 1 {
-			fmt.Fprintf(os.Stderr, "sppbench: -checkpoint-every must be >= 1, got %d\n", *every)
-			os.Exit(2)
-		}
 		path := *checkpoint
 		if path == "" {
 			path = *resume
@@ -117,7 +112,7 @@ func main() {
 				os.Exit(1)
 			}
 		}
-		outs, _, err := experiments.RunCheckpointed(context.Background(), names, opts, prior, *every,
+		outs, _, err := experiments.RunCheckpointed(context.Background(), names, opts, prior,
 			func(c *snapshot.Checkpoint) error { return snapshot.WriteFile(path, c) })
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sppbench: %v (completed progress is checkpointed in %s)\n", err, path)

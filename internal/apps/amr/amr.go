@@ -155,22 +155,6 @@ func (d *Domain) SetRegion(f func(x, y float64) (rho, u, v, p float64)) {
 	}
 }
 
-// Sample returns the solution at the zone of the covering leaf under
-// the physical point (x, y) in root-zone units (periodic wrap).
-func (d *Domain) Sample(x, y float64) (rho, u, v, p float64) {
-	W := float64(d.RootW * BlockSize)
-	H := float64(d.RootH * BlockSize)
-	x = math.Mod(math.Mod(x, W)+W, W)
-	y = math.Mod(math.Mod(y, H)+H, H)
-	b := d.leafAt(x, y)
-	h := cellSize(b.level)
-	i := int(x/h) - b.bi*BlockSize
-	j := int(y/h) - b.bj*BlockSize
-	i = clamp(i, 0, BlockSize-1)
-	j = clamp(j, 0, BlockSize-1)
-	return b.grid.At(i, j)
-}
-
 func clamp(v, lo, hi int) int {
 	if v < lo {
 		return lo
@@ -488,46 +472,4 @@ func (d *Domain) derefine(idx int) {
 	}
 	p.children = [4]int32{-1, -1, -1, -1}
 	p.leaf = true
-}
-
-// TotalMass integrates ρ over the composite domain (area-weighted).
-func (d *Domain) TotalMass() float64 {
-	var m float64
-	for _, b := range d.blocks {
-		if !b.leaf {
-			continue
-		}
-		h := cellSize(b.level)
-		m += b.grid.TotalMass() * h * h
-	}
-	return m
-}
-
-// CheckInvariants validates the quadtree: leaves partition the domain
-// (area sums to the root area), the index is consistent, and neighbour
-// levels respect 2:1 balance.
-func (d *Domain) CheckInvariants() error {
-	var area float64
-	for _, b := range d.blocks {
-		if !b.leaf {
-			continue
-		}
-		h := cellSize(b.level)
-		side := float64(BlockSize) * h
-		area += side * side
-		if got := d.index[[3]int{b.level, b.bi, b.bj}]; d.blocks[got] != b {
-			return fmt.Errorf("amr: index inconsistent for block L%d (%d,%d)", b.level, b.bi, b.bj)
-		}
-	}
-	want := float64(d.RootW*BlockSize) * float64(d.RootH*BlockSize)
-	if math.Abs(area-want) > 1e-6 {
-		return fmt.Errorf("amr: leaves cover area %v, domain is %v", area, want)
-	}
-	// 2:1 balance at edge midpoints.
-	for _, b := range d.blocks {
-		if b.leaf && d.neighbourNeedsMe(b) && b.level < MaxLevels-1 {
-			return fmt.Errorf("amr: 2:1 balance violated at block L%d (%d,%d)", b.level, b.bi, b.bj)
-		}
-	}
-	return nil
 }

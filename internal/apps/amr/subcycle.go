@@ -1,5 +1,7 @@
 package amr
 
+//simlint:allow-file deadexport deferred sweep: test-only feature; deleting it also deletes its 4 dedicated tests (queued on ROADMAP)
+
 import "math"
 
 // StepSubcycled advances the composite solution with Berger–Oliger

@@ -1,5 +1,7 @@
 package fem
 
+//simlint:allow-file deadexport deferred sweep: test-only feature; deleting mesh.go and solver.go also deletes the 11 fem tests that exercise them (queued on ROADMAP)
+
 import "math"
 
 // Gamma is the ideal-gas adiabatic index.

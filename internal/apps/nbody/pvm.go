@@ -52,6 +52,8 @@ func pvmForceChunk(w *Workload, inter int64) perfmodel.Chunk {
 // packs and exchanges the tree data its peers' traversals need (the
 // remote share of its interactions, derated by node reuse), then
 // computes its forces, then a tag-0 round synchronizes the step.
+//
+//simlint:allow deadexport deferred sweep: test-only; deleting it also deletes its two dedicated tests (queued on ROADMAP)
 func RunPVM(w *Workload, procs, hypernodes, steps int) (Result, error) {
 	if blocks%procs != 0 {
 		return Result{}, fmt.Errorf("nbody: procs %d must divide %d", procs, blocks)

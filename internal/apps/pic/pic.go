@@ -40,10 +40,6 @@ var (
 	Large = Size{64, 64, 32} // 1 179 648 particles
 )
 
-// WordsPerParticle is the storage per particle (paper §5.1.2: 11 words —
-// position, velocity, charge, mass, and integration scratch).
-const WordsPerParticle = 11
-
 // Sim is one PIC simulation state.
 type Sim struct {
 	Size
@@ -308,15 +304,6 @@ func (s *Sim) Step() error {
 	}
 	s.GatherPush(0, len(s.X))
 	return nil
-}
-
-// TotalCharge sums the deposited mesh charge.
-func (s *Sim) TotalCharge() float64 {
-	var sum float64
-	for _, r := range s.Rho {
-		sum += r
-	}
-	return sum
 }
 
 // KineticEnergy reports ½Σv² (unit masses).

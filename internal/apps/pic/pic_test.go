@@ -317,3 +317,12 @@ func TestC90ReferenceTable1(t *testing.T) {
 		t.Fatalf("large/small C90 time ratio = %.2f, want ≈3.9", r)
 	}
 }
+
+// TotalCharge sums the deposited mesh charge.
+func (s *Sim) TotalCharge() float64 {
+	var sum float64
+	for _, r := range s.Rho {
+		sum += r
+	}
+	return sum
+}

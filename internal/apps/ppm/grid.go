@@ -177,6 +177,8 @@ func (g *Grid) StepWithDt(dt float64, pc *Pencil) {
 }
 
 // TotalMass sums ρ over the interior.
+//
+//simlint:allow deadexport conservation oracle the ppm and amr tests compare evolved states against
 func (g *Grid) TotalMass() float64 {
 	var m float64
 	for j := 0; j < g.H; j++ {
@@ -185,16 +187,4 @@ func (g *Grid) TotalMass() float64 {
 		}
 	}
 	return m
-}
-
-// TotalEnergy sums total energy over the interior.
-func (g *Grid) TotalEnergy() float64 {
-	var e float64
-	for j := 0; j < g.H; j++ {
-		for i := 0; i < g.W; i++ {
-			at := g.Idx(i, j)
-			e += g.P[at]/(Gamma-1) + 0.5*g.Rho[at]*(g.U[at]*g.U[at]+g.V[at]*g.V[at])
-		}
-	}
-	return e
 }

@@ -190,16 +190,3 @@ func (pc *Pencil) Sweep(lo, hi int, dtdx float64) {
 		pc.Rho[i], pc.U[i], pc.V[i], pc.P[i] = primFromCons(pc.cons[i])
 	}
 }
-
-// MaxWavespeed reports max(|u|+c, |v|+c) over cells [lo,hi).
-func (pc *Pencil) MaxWavespeed(lo, hi int) float64 {
-	var m float64
-	for i := lo; i < hi; i++ {
-		c := math.Sqrt(Gamma * pc.P[i] / pc.Rho[i])
-		s := math.Max(math.Abs(pc.U[i]), math.Abs(pc.V[i])) + c
-		if s > m {
-			m = s
-		}
-	}
-	return m
-}

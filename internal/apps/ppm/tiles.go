@@ -133,12 +133,3 @@ func (d *TiledDomain) Step() float64 {
 	}
 	return dt
 }
-
-// TotalMass sums the interior density over all tiles.
-func (d *TiledDomain) TotalMass() float64 {
-	var m float64
-	for _, g := range d.Tiles {
-		m += g.TotalMass()
-	}
-	return m
-}

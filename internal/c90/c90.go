@@ -56,12 +56,6 @@ func (m Model) SustainedMflops(vecLen, vectorFraction float64) float64 {
 	return 1 / t
 }
 
-// Seconds reports the execution time of the given operation count.
-func (m Model) Seconds(flops int64, vecLen, vectorFraction float64) float64 {
-	rate := m.SustainedMflops(vecLen, vectorFraction) * 1e6
-	return float64(flops) / rate
-}
-
 // Workload captures a code's C90 execution profile as the paper reports
 // it: the per-run operation count plus the vectorization parameters that
 // reproduce the measured sustained rate.
@@ -75,11 +69,9 @@ type Workload struct {
 //
 //	PIC:       355–369 Mflop/s (Table 1)
 //	FEM:       ≈293 Mflop/s hpm (250 useful, §5.2.2)
-//	Tree code: ≈120 Mflop/s for the vectorized public code (§5.3.2)
 var (
-	PIC      = Workload{Name: "pic", VecLen: 512, VectorFraction: 0.906}
-	FEM      = Workload{Name: "fem", VecLen: 256, VectorFraction: 0.874}
-	TreeCode = Workload{Name: "tree", VecLen: 64, VectorFraction: 0.609}
+	PIC = Workload{Name: "pic", VecLen: 512, VectorFraction: 0.906}
+	FEM = Workload{Name: "fem", VecLen: 256, VectorFraction: 0.874}
 )
 
 // Rate reports the sustained Mflop/s of a calibrated workload.

@@ -88,3 +88,13 @@ func TestSecondsScalesLinearly(t *testing.T) {
 		t.Fatalf("time not linear in flops: %v vs %v", one, two)
 	}
 }
+
+// Seconds reports the execution time of the given operation count.
+func (m Model) Seconds(flops int64, vecLen, vectorFraction float64) float64 {
+	rate := m.SustainedMflops(vecLen, vectorFraction) * 1e6
+	return float64(flops) / rate
+}
+
+// TreeCode is the vectorized public tree code's C90 profile: ≈120
+// Mflop/s (§5.3.2).
+var TreeCode = Workload{Name: "tree", VecLen: 64, VectorFraction: 0.609}

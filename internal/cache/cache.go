@@ -162,6 +162,3 @@ func (c *Cache) Flush() {
 		c.slots[i] = slot{}
 	}
 }
-
-// Lines reports the slot count.
-func (c *Cache) Lines() int { return len(c.slots) }

@@ -148,3 +148,6 @@ func TestStatsBalanceProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Lines reports the slot count.
+func (c *Cache) Lines() int { return len(c.slots) }

@@ -98,9 +98,6 @@ func TestBucketFor(t *testing.T) {
 			t.Errorf("bucketFor(%d) = %d, want %d", v, got, want)
 		}
 	}
-	if BucketLabel(0) != "<=1" || BucketLabel(NumBuckets-1) != ">128" {
-		t.Fatalf("labels: %q %q", BucketLabel(0), BucketLabel(NumBuckets-1))
-	}
 }
 
 func TestSnapshotDeterministicAndQueryable(t *testing.T) {

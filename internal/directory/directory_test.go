@@ -177,3 +177,6 @@ func TestWriteExclusivityProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Entries reports the number of tracked lines.
+func (d *Directory) Entries() int { return len(d.entries) }

@@ -10,12 +10,11 @@ import (
 )
 
 // RunCheckpointed executes the named experiments serially, saving a
-// checkpoint after every `every` completed experiments (and after the
-// last), so a killed run can resume from the completed prefix instead of
-// recomputing it. prior is the checkpoint to resume from (nil to start
-// fresh); save persists each checkpoint (nil to only build the final
-// one). It returns the rendered outputs in name order plus the final
-// checkpoint.
+// checkpoint after every completed experiment, so a killed run can
+// resume from the completed prefix instead of recomputing it. prior is
+// the checkpoint to resume from (nil to start fresh); save persists
+// each checkpoint (nil to only build the final one). It returns the
+// rendered outputs in name order plus the final checkpoint.
 //
 // Exactness contract: because every experiment is a pure deterministic
 // function of (name, Options), a resumed run's outputs are byte-identical
@@ -31,11 +30,8 @@ import (
 // experiment level) so the sim-cycle/event deltas sampled around each
 // one attribute to it alone; the sweep points inside an experiment still
 // fan out through the pool as usual.
-func RunCheckpointed(ctx context.Context, names []string, o Options, prior *snapshot.Checkpoint, every int, save func(*snapshot.Checkpoint) error) ([]string, *snapshot.Checkpoint, error) {
+func RunCheckpointed(ctx context.Context, names []string, o Options, prior *snapshot.Checkpoint, save func(*snapshot.Checkpoint) error) ([]string, *snapshot.Checkpoint, error) {
 	key := Spec{Experiments: names, Options: o}.Key()
-	if every < 1 {
-		every = 1
-	}
 	cp := &snapshot.Checkpoint{SpecKey: key, Names: append([]string(nil), names...)}
 	if prior != nil {
 		if prior.SpecKey != key {
@@ -52,7 +48,6 @@ func RunCheckpointed(ctx context.Context, names []string, o Options, prior *snap
 		cp.Done = append(cp.Done, prior.Done...)
 		cp.SimCycles, cp.SimEvents = prior.SimCycles, prior.SimEvents
 		cp.Counters = prior.Counters
-		cp.Regions = append(cp.Regions, prior.Regions...)
 	}
 
 	outs := make([]string, 0, len(names))
@@ -69,14 +64,9 @@ func RunCheckpointed(ctx context.Context, names []string, o Options, prior *snap
 	defer counters.Detach(coll)
 
 	for i := len(cp.Done); i < len(names); i++ {
-		// A second, per-experiment collector isolates this experiment's
-		// counter deltas for its region signature (docs/SAMPLING.md).
-		expColl := counters.NewCollector()
-		counters.Attach(expColl)
 		c0, e0 := sim.TotalCycles(), sim.TotalEvents()
 		out, err := RunCtx(ctx, names[i], o)
 		dc, de := sim.TotalCycles()-c0, sim.TotalEvents()-e0
-		counters.Detach(expColl)
 		if err != nil {
 			return outs, cp, fmt.Errorf("%s: %w", names[i], err)
 		}
@@ -85,8 +75,7 @@ func RunCheckpointed(ctx context.Context, names []string, o Options, prior *snap
 		cp.SimCycles += dc
 		cp.SimEvents += de
 		cp.Counters = coll.Snapshot()
-		cp.Regions = append(cp.Regions, snapshot.Signature(names[i], dc, de, expColl.Snapshot().Flatten()))
-		if save != nil && (len(cp.Done)%every == 0 || len(cp.Done) == len(names)) {
+		if save != nil {
 			if err := save(cp); err != nil {
 				return outs, cp, fmt.Errorf("experiments: checkpoint after %s: %w", names[i], err)
 			}

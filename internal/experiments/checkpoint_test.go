@@ -18,8 +18,8 @@ import (
 // and PMU counter totals versus an uninterrupted run — at -simpar 1, 2,
 // and 4, under -race (`make checkpoint` / `make faultmatrix`). The
 // final-checkpoint byte equality is the strongest form: outputs, sim
-// totals, counter snapshot, and region signatures all live inside the
-// encoding, so one bytes.Equal covers the whole contract.
+// totals, and counter snapshot all live inside the encoding, so one
+// bytes.Equal covers the whole contract.
 func TestCheckpointKillAtEveryBoundary(t *testing.T) {
 	o := Quick()
 	names := []string{"fig2", "tab1", "scalepar"} // scalepar exercises the PDES engine
@@ -32,7 +32,7 @@ func TestCheckpointKillAtEveryBoundary(t *testing.T) {
 			// Uninterrupted reference, recording the checkpoint bytes at
 			// every boundary — these are the states a kill could leave.
 			var boundaries [][]byte
-			refOuts, refFinal, err := RunCheckpointed(context.Background(), names, o, nil, 1,
+			refOuts, refFinal, err := RunCheckpointed(context.Background(), names, o, nil,
 				func(c *snapshot.Checkpoint) error {
 					boundaries = append(boundaries, c.Encode())
 					return nil
@@ -50,7 +50,7 @@ func TestCheckpointKillAtEveryBoundary(t *testing.T) {
 				if err != nil {
 					t.Fatalf("boundary %d: %v", b, err)
 				}
-				outs, final, err := RunCheckpointed(context.Background(), names, o, prior, 1, nil)
+				outs, final, err := RunCheckpointed(context.Background(), names, o, prior, nil)
 				if err != nil {
 					t.Fatalf("resume from boundary %d: %v", b, err)
 				}
@@ -69,39 +69,20 @@ func TestCheckpointKillAtEveryBoundary(t *testing.T) {
 	}
 }
 
-// The checkpoint cadence: every=2 over three experiments saves at the
-// second boundary and at completion, never in between.
-func TestCheckpointEveryCadence(t *testing.T) {
-	o := Quick()
-	names := []string{"fig2", "fig3", "fig4"}
-	var saved []int
-	_, _, err := RunCheckpointed(context.Background(), names, o, nil, 2,
-		func(c *snapshot.Checkpoint) error {
-			saved = append(saved, len(c.Done))
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(saved) != 2 || saved[0] != 2 || saved[1] != 3 {
-		t.Fatalf("save boundaries %v, want [2 3]", saved)
-	}
-}
-
 // A checkpoint for a different spec (other names or options) must be
 // refused, never silently spliced into the wrong run.
 func TestCheckpointSpecKeyMismatch(t *testing.T) {
 	o := Quick()
-	_, cp, err := RunCheckpointed(context.Background(), []string{"fig2"}, o, nil, 1, nil)
+	_, cp, err := RunCheckpointed(context.Background(), []string{"fig2"}, o, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := RunCheckpointed(context.Background(), []string{"fig2", "fig3"}, o, cp, 1, nil); err == nil {
+	if _, _, err := RunCheckpointed(context.Background(), []string{"fig2", "fig3"}, o, cp, nil); err == nil {
 		t.Fatal("checkpoint for another suite accepted")
 	}
 	other := Quick()
 	other.AppSteps++
-	if _, _, err := RunCheckpointed(context.Background(), []string{"fig2"}, other, cp, 1, nil); err == nil {
+	if _, _, err := RunCheckpointed(context.Background(), []string{"fig2"}, other, cp, nil); err == nil {
 		t.Fatal("checkpoint for other options accepted")
 	}
 }
@@ -112,7 +93,7 @@ func TestCheckpointCancelKeepsPrefix(t *testing.T) {
 	o := Quick()
 	names := []string{"fig2", "fig3"}
 	ctx, cancel := context.WithCancel(context.Background())
-	_, cp, err := RunCheckpointed(ctx, names, o, nil, 1,
+	_, cp, err := RunCheckpointed(ctx, names, o, nil,
 		func(c *snapshot.Checkpoint) error {
 			cancel() // killed right after the first boundary
 			return nil
@@ -124,11 +105,11 @@ func TestCheckpointCancelKeepsPrefix(t *testing.T) {
 		t.Fatalf("prefix %v, want the completed fig2 only", cp.Done)
 	}
 	// The prefix resumes to exactly the uninterrupted result.
-	refOuts, _, err := RunCheckpointed(context.Background(), names, o, nil, 1, nil)
+	refOuts, _, err := RunCheckpointed(context.Background(), names, o, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs, _, err := RunCheckpointed(context.Background(), names, o, cp, 1, nil)
+	outs, _, err := RunCheckpointed(context.Background(), names, o, cp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +121,7 @@ func TestCheckpointCancelKeepsPrefix(t *testing.T) {
 // A failing save aborts the run with the checkpoint it could not persist.
 func TestCheckpointSaveErrorPropagates(t *testing.T) {
 	boom := errors.New("disk full")
-	_, _, err := RunCheckpointed(context.Background(), []string{"fig2"}, Quick(), nil, 1,
+	_, _, err := RunCheckpointed(context.Background(), []string{"fig2"}, Quick(), nil,
 		func(c *snapshot.Checkpoint) error { return boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the save error", err)

@@ -103,12 +103,10 @@ func Tab1(o Options) (string, error) {
 	return tb.Render(), nil
 }
 
-// Fig6 reproduces Figure 6: PIC time to solution and speedup, shared
+// fig6 reproduces Figure 6: PIC time to solution and speedup, shared
 // memory versus PVM, with the C90 reference line. Every (size, procs)
 // point is two independent simulations; the full grid is dispatched
 // through the worker pool, then rendered serially in sweep order.
-func Fig6(o Options) (string, error) { return fig6(context.Background(), o) }
-
 func fig6(ctx context.Context, o Options) (string, error) {
 	procs := []int{1, 2, 4, 8, 12, 16}
 	sizes := []pic.Size{pic.Small, pic.Large}
@@ -156,9 +154,8 @@ func fig6(ctx context.Context, o Options) (string, error) {
 	return b.String(), nil
 }
 
-// Fig7 reproduces Figure 7: FEM performance on the small and large
+// fig7 reproduces Figure 7: FEM performance on the small and large
 // datasets, both codings, with the C90 line.
-func Fig7(o Options) (string, error) { return fig7(context.Background(), o) }
 
 func fig7(ctx context.Context, o Options) (string, error) {
 	procs := []int{1, 2, 4, 8, 9, 10, 12, 14, 16}
@@ -200,10 +197,6 @@ func fig7(ctx context.Context, o Options) (string, error) {
 	return out, nil
 }
 
-// Fig8 reproduces Figure 8: N-body speedup for three problem sizes on
-// one and two hypernodes.
-func Fig8(o Options) (string, error) { return fig8(context.Background(), o) }
-
 // nbodyConfig is one N-body team shape: threads and hypernodes.
 type nbodyConfig struct{ p, hn int }
 
@@ -225,6 +218,8 @@ func nbodySweep(ctx context.Context, o Options, cfgs []nbodyConfig) ([]nbody.Res
 	})
 }
 
+// fig8 reproduces Figure 8: N-body speedup for three problem sizes on
+// one and two hypernodes.
 func fig8(ctx context.Context, o Options) (string, error) {
 	// cfgs[0] doubles as the 1-CPU baseline.
 	cfgs := []nbodyConfig{
@@ -299,10 +294,9 @@ func Ablate(o Options) (string, error) {
 // Scale runs the paper's future-work extrapolation to 16 hypernodes.
 func Scale(o Options) (string, error) { return ablation.ScaleReport() }
 
-// AMR runs the adaptive-mesh-refinement extension: the PPM shock
+// amrReport runs the adaptive-mesh-refinement extension: the PPM shock
 // problem on a PARAMESH-style quadtree of blocks, timed on the
 // simulated machine against the equivalent uniform fine grid.
-func AMR(o Options) (string, error) { return amrReport(context.Background(), o) }
 
 func amrReport(ctx context.Context, o Options) (string, error) {
 	var b strings.Builder
@@ -427,26 +421,6 @@ func RunManyCtx(ctx context.Context, names []string, o Options) ([]string, error
 		}
 		return out, nil
 	})
-}
-
-// All runs every paper artifact (Names, in order) and returns the
-// concatenation of their renderings, each prefixed by its banner —
-// exactly the text `sppbench -exp all` prints.
-func All(o Options) (string, error) {
-	return AllCtx(context.Background(), o)
-}
-
-// AllCtx is All with cancellation (see RunManyCtx).
-func AllCtx(ctx context.Context, o Options) (string, error) {
-	outs, err := RunManyCtx(ctx, Names, o)
-	if err != nil {
-		return "", err
-	}
-	var b strings.Builder
-	for i, name := range Names {
-		fmt.Fprintf(&b, "=== %s ===\n%s\n", name, outs[i])
-	}
-	return b.String(), nil
 }
 
 // Run executes one experiment by name.

@@ -16,25 +16,26 @@ func TestParallelDeterminism(t *testing.T) {
 	o := Quick()
 
 	runner.SetWorkers(1)
-	serial, err := All(o)
+	serialOuts, err := RunMany(Names, o)
 	if err != nil {
 		runner.SetWorkers(0)
 		t.Fatal(err)
 	}
 
 	runner.SetWorkers(4)
-	parallel, err := All(o)
+	parallelOuts, err := RunMany(Names, o)
 	runner.SetWorkers(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 
+	serial, parallel := strings.Join(serialOuts, "\n"), strings.Join(parallelOuts, "\n")
 	if serial != parallel {
 		t.Fatalf("output differs between -par 1 and -par 4:\n--- serial (%d bytes) ---\n%.400s\n--- parallel (%d bytes) ---\n%.400s",
 			len(serial), serial, len(parallel), parallel)
 	}
 	if len(serial) == 0 {
-		t.Fatal("All produced no output")
+		t.Fatal("the suite produced no output")
 	}
 }
 

@@ -22,11 +22,6 @@ type Spec struct {
 	Options Options `json:"options"`
 }
 
-// DefaultSpec is the full paper reproduction at paper scale.
-func DefaultSpec() Spec {
-	return Spec{Experiments: append([]string{}, Names...), Options: Defaults()}
-}
-
 // Normalize validates the spec and returns a cleaned copy: names
 // trimmed and checked against the experiment vocabulary, an empty list
 // rejected. Specs must be normalized before Canonical/Key so that

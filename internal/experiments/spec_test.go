@@ -137,3 +137,8 @@ func TestResolveNames(t *testing.T) {
 		}
 	}
 }
+
+// DefaultSpec is the full paper reproduction at paper scale.
+func DefaultSpec() Spec {
+	return Spec{Experiments: append([]string{}, Names...), Options: Defaults()}
+}

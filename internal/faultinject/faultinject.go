@@ -96,6 +96,8 @@ func Fire(p Point, args ...string) error {
 // from t.Cleanup). Arming an already-armed point panics: overlapping
 // hooks in parallel tests would silently shadow each other, so the
 // fault-matrix tests that arm hooks must not run in parallel.
+//
+//simlint:allow deadexport fault hook the store, service and gateway fault-matrix tests drive
 func Arm(p Point, h Hook) (disarm func()) {
 	if h == nil {
 		panic("faultinject: Arm with nil hook")
@@ -117,7 +119,3 @@ func Arm(p Point, h Hook) (disarm func()) {
 		})
 	}
 }
-
-// Armed reports whether any point currently has a hook, for tests that
-// assert the world was restored after a disarm.
-func Armed() bool { return armed.Load() > 0 }

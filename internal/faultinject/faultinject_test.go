@@ -60,3 +60,7 @@ func TestDoubleArmPanics(t *testing.T) {
 	}()
 	Arm(StoreRead, func(...string) error { return nil })
 }
+
+// Armed reports whether any point currently has a hook, for tests that
+// assert the world was restored after a disarm.
+func Armed() bool { return armed.Load() > 0 }

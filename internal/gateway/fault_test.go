@@ -50,7 +50,7 @@ func TestBackendKillMidSweep(t *testing.T) {
 
 	const seeds = 10
 	ids := make(map[int]string, seeds)
-	victimHadWork := false
+	victimSeed := 0
 	for seed := 1; seed <= seeds; seed++ {
 		v, resp := gwSubmit(t, ts.URL, seedBody(seed))
 		if resp.StatusCode != http.StatusAccepted {
@@ -58,16 +58,25 @@ func TestBackendKillMidSweep(t *testing.T) {
 		}
 		ids[seed] = v.ID
 		if resp.Header.Get("X-Spp-Backend") == "k2" {
-			victimHadWork = true
+			victimSeed = seed
 		}
 	}
-	if !victimHadWork {
+	if victimSeed == 0 {
 		t.Fatal("no key routed to the victim backend; the kill would prove nothing")
 	}
 
-	// Kill k2 with its share of the sweep still queued or running, then
-	// let the survivor's jobs finish.
+	// Kill k2 with its share of the sweep still queued or running, and
+	// poll one of its jobs while the survivor's queue is still held: the
+	// forward hits the corpse first. (Once released, the survivor's
+	// queued jobs peer-fetch through the gateway, and a probe that found
+	// k2 dead first would evict it without any forward retry.) Then let
+	// the survivor's jobs finish.
 	k2.kill()
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + ids[victimSeed])
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
 	release()
 
 	// Drive every job to done the way sppctl would: poll through the

@@ -151,15 +151,5 @@ func (r *Ring) Owners(key string) []string {
 	return out
 }
 
-// Members reports the backend ids on the ring, sorted.
-func (r *Ring) Members() []string {
-	out := make([]string, 0, len(r.members))
-	for id := range r.members {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Len reports the number of member backends.
 func (r *Ring) Len() int { return len(r.members) }

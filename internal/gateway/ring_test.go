@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 )
 
@@ -210,4 +211,14 @@ func TestRingEmptyAndMembership(t *testing.T) {
 	if !ok || (owner != "a" && owner != "b") {
 		t.Fatalf("Owner = %q, %v", owner, ok)
 	}
+}
+
+// Members reports the backend ids on the ring, sorted.
+func (r *Ring) Members() []string {
+	out := make([]string, 0, len(r.members))
+	for id := range r.members {
+		out = append(out, id)
+	}
+	sort.Strings(out)
+	return out
 }

@@ -174,6 +174,14 @@ const MetricsReconcilePackage = "internal/load"
 // sppgw_*).
 var MetricsPrefixes = []string{"sppgw_cluster_", "sppgw_backend_", "sppgw_", "sppd_"}
 
+// ReferenceModules lists module-relative directories of nested modules
+// (each with its own go.mod and `replace spp1000 => ../`) whose non-test
+// files count as production callers for the deadexport analyzer: the
+// benchmark harness calls into internal/ like any command does, so an
+// export only it reaches is not dead. A listed directory without a
+// go.mod is skipped.
+var ReferenceModules = []string{"perfbench"}
+
 // SimPureLeaf reports whether the full import path is one of the
 // SimPureLeaves (or in their subtrees).
 func SimPureLeaf(pkgPath string) bool {

@@ -28,6 +28,10 @@
 //     emits appears in the reconcile equations (internal/load or the
 //     metrics tests) and in the docs, and every name the reconcile side
 //     references is actually emitted.
+//   - deadexport: every exported package-level identifier in internal/ is
+//     referenced by some non-test file of the module or of perfbench;
+//     an export only tests reach is a mechanism with no production
+//     caller.
 //
 // Findings are suppressed line-by-line with
 //
@@ -120,15 +124,6 @@ func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// ReportAt records a finding at an already-resolved file position.
-func (p *ModulePass) ReportAt(pos token.Position, format string, args ...any) {
-	p.report(Diagnostic{
-		Pos:      pos,
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
 // A Diagnostic is one finding: a position, the analyzer that produced it, and
 // the message.
 type Diagnostic struct {
@@ -148,7 +143,7 @@ func (d Diagnostic) String() string {
 
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, SimTime, CounterHandle, CtxFlow, Deps, AllocFree, LockOrder, Ledger}
+	return []*Analyzer{Determinism, SimTime, CounterHandle, CtxFlow, Deps, AllocFree, LockOrder, Ledger, DeadExport}
 }
 
 // Run executes the analyzers over the packages, applies the //simlint:allow

@@ -58,6 +58,13 @@ func TestLedger(t *testing.T) {
 	linttest.Run(t, "testdata/ledgermod", []string{"./..."}, lint.Ledger)
 }
 
+// TestDeadExport loads only the fixture package under judgment; the
+// analyzer itself loads the rest of the module (cmd/deaduse) and the
+// nested perfbench module as the reference universe.
+func TestDeadExport(t *testing.T) {
+	linttest.Run(t, fixmod, []string{"./internal/dead"}, lint.DeadExport)
+}
+
 func TestSimPureLeaf(t *testing.T) {
 	for path, want := range map[string]bool{
 		"spp1000/internal/rng":     true,

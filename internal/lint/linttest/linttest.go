@@ -7,6 +7,10 @@
 //
 //	time.Sleep(d) // want `time\.Sleep`
 //
+// A line whose own comment is the subject of the finding (a malformed
+// //simlint:allow directive) carries the expectation in a leading block
+// comment instead: /* want `malformed` */ //simlint:allow x.
+//
 // Each quoted string is a regexp that must match exactly one diagnostic
 // on that line; unexpected diagnostics and unmatched expectations both
 // fail the test.
@@ -31,6 +35,8 @@ type want struct {
 // Run loads the fixture module at dir, analyzes the packages matching
 // patterns with the given analyzers, and compares every diagnostic
 // against the fixtures' `// want` comments.
+//
+//simlint:allow deadexport golden-test harness the internal/lint tests drive
 func Run(t *testing.T, dir string, patterns []string, analyzers ...*lint.Analyzer) {
 	t.Helper()
 	pkgs, err := lint.Load(dir, patterns...)
@@ -65,7 +71,7 @@ func Run(t *testing.T, dir string, patterns []string, analyzers ...*lint.Analyze
 	}
 }
 
-// collectWants parses `// want "re" ...` comments out of the loaded
+// collectWants parses `// want "re" ...` (and `/* want "re" ... */`) comments out of the loaded
 // fixture files, keyed by "filename:line".
 func collectWants(t *testing.T, pkgs []*lint.Package) map[string][]*want {
 	t.Helper()
@@ -75,6 +81,10 @@ func collectWants(t *testing.T, pkgs []*lint.Package) map[string][]*want {
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
 					rest, ok := strings.CutPrefix(c.Text, "// want ")
+					if !ok {
+						rest, ok = strings.CutPrefix(c.Text, "/* want ")
+						rest = strings.TrimSuffix(rest, "*/")
+					}
 					if !ok {
 						continue
 					}

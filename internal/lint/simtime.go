@@ -44,7 +44,7 @@ func runSimTime(pass *Pass) error {
 				}
 				switch {
 				case isCycles(tv.Type) && isDuration(src):
-					pass.Reportf(n.Pos(), "conversion of time.Duration to sim.Cycles mixes wall-clock and virtual time: construct cycles with sim.Micros/sim.Nanos from a model parameter")
+					pass.Reportf(n.Pos(), "conversion of time.Duration to sim.Cycles mixes wall-clock and virtual time: construct cycles with sim.CyclesPerMicro from a model parameter")
 				case isDuration(tv.Type) && isCycles(src):
 					pass.Reportf(n.Pos(), "conversion of sim.Cycles to time.Duration mixes virtual and wall-clock time: render cycles with their own Micros/Seconds/String methods")
 				}

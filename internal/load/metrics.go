@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -233,15 +232,4 @@ func (r Reconciliation) Failures() string {
 		fmt.Fprintf(&b, "%s: server %s %d, client wants %d\n", c.Name, kind, c.Got, c.Want)
 	}
 	return b.String()
-}
-
-// SortedNames returns the metric names of m in lexical order — report
-// rendering must be deterministic.
-func (m Metrics) SortedNames() []string {
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -183,3 +183,14 @@ func TestPercentileUnsortedInput(t *testing.T) {
 		}
 	}
 }
+
+// SortedNames returns the metric names of m in lexical order — report
+// rendering must be deterministic.
+func (m Metrics) SortedNames() []string {
+	names := make([]string, 0, len(m))
+	for n := range m {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
+}

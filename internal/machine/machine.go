@@ -89,15 +89,6 @@ func (m *Machine) EnableCounters() *counters.Registry {
 	return m.Counters
 }
 
-// MustNew is New but panics on configuration errors (for examples/tests).
-func MustNew(cfg Config) *Machine {
-	m, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // Alloc registers a memory object of the given class and returns its
 // space handle. host is the hosting hypernode for NearShared data and
 // blockBytes the distribution unit for BlockShared data.

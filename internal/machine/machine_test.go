@@ -123,13 +123,13 @@ func TestInstrumentationCounters(t *testing.T) {
 func TestSpawnAtStartsLate(t *testing.T) {
 	m := MustNew(Config{Hypernodes: 1})
 	var started sim.Cycles
-	m.SpawnAt(sim.Micros(10), "late", topology.MakeCPU(0, 0, 1), func(th *Thread) {
+	m.SpawnAt(10*sim.CyclesPerMicro, "late", topology.MakeCPU(0, 0, 1), func(th *Thread) {
 		started = th.Now()
 	})
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if started != sim.Micros(10) {
+	if started != 10*sim.CyclesPerMicro {
 		t.Fatalf("started at %v, want 10 µs", started)
 	}
 }
@@ -173,4 +173,13 @@ func TestDeterministicReplay(t *testing.T) {
 			t.Fatalf("non-deterministic: %v vs %v", first, again)
 		}
 	}
+}
+
+// MustNew is New but panics on configuration errors (for examples/tests).
+func MustNew(cfg Config) *Machine {
+	m, err := New(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return m
 }

@@ -20,7 +20,7 @@ func benchAccess(b *testing.B, withCounters bool) {
 	}
 	s := memsys.New(topo, topology.DefaultParams(), 4096)
 	if withCounters {
-		s.AttachCounters(counters.NewRegistry())
+		s.AttachCountersBase(counters.NewRegistry(), 0)
 	}
 	sp := s.Alloc("bench", topology.NearShared, 0, 0)
 	cpu := topology.MakeCPU(0, 0, 0)

@@ -85,17 +85,16 @@ type memHooks struct {
 	rmwCycles           *counters.Counter
 }
 
-// AttachCounters wires every component of the memory system into the
-// registry, one group per component instance: cache.hn<N> (the eight
-// CPU caches of a hypernode aggregate), directory.hn<N>, xbar.hn<N>,
-// sci, ring, and the machine-level mem group with per-class miss counts
-// and stall cycles. Counters never touch virtual time, so attaching
-// them cannot change any simulated result. A nil registry detaches
-// everything.
-func (s *System) AttachCounters(r *counters.Registry) { s.AttachCountersBase(r, 0) }
-
-// AttachCountersBase is AttachCounters with the hypernode numbers in the
-// group names offset by base. A partitioned cluster (internal/parsim)
+// AttachCountersBase wires every component of the memory system into
+// the registry, one group per component instance: cache.hn<N> (the
+// eight CPU caches of a hypernode aggregate), directory.hn<N>,
+// xbar.hn<N>, sci, ring, and the machine-level mem group with per-class
+// miss counts and stall cycles. Counters never touch virtual time, so
+// attaching them cannot change any simulated result. A nil registry
+// detaches everything.
+//
+// The hypernode numbers in the group names are offset by base (0 for a
+// monolithic machine). A partitioned cluster (internal/parsim)
 // builds one 1-hypernode System per simulated hypernode; base gives each
 // its global hypernode number so the per-partition snapshots merge into
 // one machine-wide snapshot without name collisions. The machine-wide
@@ -135,15 +134,6 @@ func (s *System) AttachCountersBase(r *counters.Registry, base int) {
 // capacity: 2 MB out of each functional unit's memory × 4 FUs.
 const DefaultBufferLines = 4 * (2 << 20) / topology.CacheLineBytes
 
-// SetBufferCapacity overrides the per-hypernode global-buffer line
-// capacity (for capacity experiments; minimum 1).
-func (s *System) SetBufferCapacity(lines int) {
-	if lines < 1 {
-		lines = 1
-	}
-	s.bufferCap = lines
-}
-
 // New builds the memory system for a machine, using custom cache geometry
 // when cacheLines > 0 (tests; 0 means the architectural 32768 lines).
 func New(topo topology.Topology, p topology.Params, cacheLines int) *System {
@@ -180,15 +170,6 @@ func (s *System) Alloc(name string, class topology.Class, host, blockBytes int) 
 	s.spaces = append(s.spaces, spaceInfo{name: name, class: class, host: host, blockBytes: blockBytes})
 	return topology.Space(len(s.spaces) - 1)
 }
-
-// SpaceClass reports the memory class of a space.
-func (s *System) SpaceClass(sp topology.Space) topology.Class { return s.spaces[sp].class }
-
-// Cache exposes one CPU's cache (for tests and diagnostics).
-func (s *System) Cache(cpu topology.CPUID) *cache.Cache { return s.caches[cpu] }
-
-// Directory exposes one hypernode's directory.
-func (s *System) Directory(hn int) *directory.Directory { return s.dirs[hn] }
 
 // Invalidation records that a CPU's cached copy was killed at a time.
 type Invalidation struct {
@@ -591,9 +572,6 @@ func (s *System) purgeRemote(now sim.Cycles, fromHN, ringIdx int, key topology.L
 func (s *System) crossbar(now sim.Cycles, hn, srcFU, dstFU int, dur sim.Cycles) sim.Cycles {
 	return s.xbars[hn].Traverse(now, srcFU, dstFU, dur)
 }
-
-// Crossbar exposes one hypernode's switch (for tests and diagnostics).
-func (s *System) Crossbar(hn int) *xbar.Crossbar { return s.xbars[hn] }
 
 // UncachedRMW models an atomic read-modify-write on an uncached cell
 // (the counting semaphores of the barrier primitive, paper §4.2): it

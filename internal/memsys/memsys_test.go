@@ -172,7 +172,7 @@ func TestUncachedRMWBypassesCache(t *testing.T) {
 	if t2-t1 < sim.Cycles(s.P.UncachedAccess) {
 		t.Fatalf("repeat RMW latency %v below bank service time", t2-t1)
 	}
-	if s.Cache(cpu).Contains(topology.LineKey{Space: sp, Line: 0}) {
+	if s.caches[cpu].Contains(topology.LineKey{Space: sp, Line: 0}) {
 		t.Fatal("uncached access must not allocate in the cache")
 	}
 	// Remote semaphore costs more (ring transit).
@@ -230,7 +230,7 @@ func TestUnallocatedSpacePanics(t *testing.T) {
 
 func TestGlobalBufferCapacityEviction(t *testing.T) {
 	s := newSys(t, 2)
-	s.SetBufferCapacity(4)
+	s.bufferCap = 4
 	remote := s.Alloc("remote", topology.NearShared, 1, 0)
 	cpu := topology.MakeCPU(0, 0, 0)
 	now := sim.Cycles(0)
@@ -273,8 +273,6 @@ func TestGlobalBufferCapacityEviction(t *testing.T) {
 			t.Fatalf("default capacity should retain line %d", i)
 		}
 	}
-	// Minimum capacity clamps.
-	s.SetBufferCapacity(0)
 }
 
 // Property: directory and SCI invariants hold under random access
@@ -303,7 +301,7 @@ func TestCoherenceInvariantsUnderLoad(t *testing.T) {
 			}
 			now += sim.Cycles(rnd.Intn(200))
 			for hn := 0; hn < topo.Hypernodes; hn++ {
-				if err := s.Directory(hn).CheckInvariants(); err != nil {
+				if err := s.dirs[hn].CheckInvariants(); err != nil {
 					t.Logf("seed %d step %d: %v", seed, i, err)
 					return false
 				}
@@ -339,12 +337,12 @@ func TestWriteExclusivityAcrossMachine(t *testing.T) {
 			if topology.CPUID(c) == writer {
 				continue
 			}
-			if s.Cache(topology.CPUID(c)).Contains(key) {
+			if s.caches[topology.CPUID(c)].Contains(key) {
 				t.Logf("seed %d: cpu %d retains the line after write by %d", seed, c, writer)
 				return false
 			}
 		}
-		return s.Cache(writer).Dirty(key)
+		return s.caches[writer].Dirty(key)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

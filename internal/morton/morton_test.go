@@ -96,3 +96,34 @@ func TestInjective2(t *testing.T) {
 		}
 	}
 }
+
+// compact2 is the inverse of spread2.
+func compact2(x uint32) uint32 {
+	x &= 0x55555555
+	x = (x | x>>1) & 0x33333333
+	x = (x | x>>2) & 0x0F0F0F0F
+	x = (x | x>>4) & 0x00FF00FF
+	x = (x | x>>8) & 0x0000FFFF
+	return x
+}
+
+// Decode2 recovers the coordinates from a 2-D key.
+func Decode2(key uint64) (x, y uint32) {
+	return compact2(uint32(key)), compact2(uint32(key >> 1))
+}
+
+// compact3 is the inverse of spread3.
+func compact3(x uint64) uint64 {
+	x &= 0x1249249249249249
+	x = (x | x>>2) & 0x10C30C30C30C30C3
+	x = (x | x>>4) & 0x100F00F00F00F00F
+	x = (x | x>>8) & 0x1F0000FF0000FF
+	x = (x | x>>16) & 0x1F00000000FFFF
+	x = (x | x>>32) & 0x1FFFFF
+	return x
+}
+
+// Decode3 recovers the coordinates from a 3-D key.
+func Decode3(key uint64) (x, y, z uint64) {
+	return compact3(key), compact3(key >> 1), compact3(key >> 2)
+}

@@ -84,18 +84,6 @@ func (c *Cluster) Run() error {
 	return err
 }
 
-// Counters merges the per-node registries into one machine-wide
-// snapshot: per-hypernode groups (cache.hn<N>, …) are distinct by
-// construction (machine.Config.NodeIndex), machine-wide groups (mem,
-// sci, ring, threads) sum across nodes.
-func (c *Cluster) Counters() counters.Snapshot {
-	snaps := make([]counters.Snapshot, len(c.Nodes))
-	for i, n := range c.Nodes {
-		snaps[i] = n.M.Counters.Snapshot()
-	}
-	return counters.MergeSnapshots(snaps...)
-}
-
 // RunTeam forks a team of n threads across the cluster under the
 // high-locality placement, runs the partitioned simulation to
 // completion, and reports the fork-to-join virtual duration observed by

@@ -109,9 +109,6 @@ type Partition struct {
 	err    error
 }
 
-// Index reports the partition's position in the coordinator.
-func (p *Partition) Index() int { return p.idx }
-
 // Post buffers fn for execution on partition dst at virtual time at.
 // Must be called from within an event executing on this partition's
 // kernel. The conservative invariant requires at ≥ now + lookahead
@@ -183,24 +180,9 @@ func New(lookahead sim.Cycles, kernels []*sim.Kernel) (*Coordinator, error) {
 // Partition returns partition i.
 func (c *Coordinator) Partition(i int) *Partition { return c.parts[i] }
 
-// Partitions reports the partition count.
-func (c *Coordinator) Partitions() int { return len(c.parts) }
-
-// Lookahead reports the conservative window width.
-func (c *Coordinator) Lookahead() sim.Cycles { return c.lookahead }
-
 // Rounds reports how many windows the last Run executed (a measure of
 // synchronization intensity: events ÷ rounds is the per-window grain).
 func (c *Coordinator) Rounds() int64 { return c.rounds }
-
-// EventsProcessed sums the partitions' per-kernel event counts.
-func (c *Coordinator) EventsProcessed() int64 {
-	var n int64
-	for _, p := range c.parts {
-		n += p.K.EventsProcessed()
-	}
-	return n
-}
 
 // Run executes the window protocol to completion: deliver buffered
 // messages, advance every runnable partition to its conservative

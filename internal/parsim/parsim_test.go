@@ -5,9 +5,31 @@ import (
 	"strings"
 	"testing"
 
+	"spp1000/internal/counters"
 	"spp1000/internal/machine"
 	"spp1000/internal/sim"
 )
+
+// eventsProcessed sums the partitions' per-kernel event counts.
+func eventsProcessed(c *Coordinator) int64 {
+	var n int64
+	for _, p := range c.parts {
+		n += p.K.EventsProcessed()
+	}
+	return n
+}
+
+// clusterCounters merges the per-node registries into one machine-wide
+// snapshot: per-hypernode groups (cache.hn<N>, …) are distinct by
+// construction (machine.Config.NodeIndex), machine-wide groups (mem,
+// sci, ring, threads) sum across nodes.
+func clusterCounters(c *Cluster) counters.Snapshot {
+	coll := counters.NewCollector()
+	for _, n := range c.Nodes {
+		coll.Merge(n.M.Counters.Snapshot())
+	}
+	return coll.Snapshot()
+}
 
 // withWorkers runs fn at each width and restores the serial default.
 func withWorkers(t *testing.T, widths []int, fn func(w int)) {
@@ -119,7 +141,7 @@ func TestCoordinatorDeterminism(t *testing.T) {
 		for i := range logs {
 			all = append(all, logs[i]...)
 		}
-		return strings.Join(all, " "), c.EventsProcessed()
+		return strings.Join(all, " "), eventsProcessed(c)
 	}
 	var base string
 	var baseEvents int64
@@ -172,7 +194,7 @@ func TestClusterTeamDeterminism(t *testing.T) {
 		for i, n := range cl.Nodes {
 			ev = append(ev, fmt.Sprintf("p%d=%d", i, n.M.K.EventsProcessed()))
 		}
-		return elapsed, strings.Join(ev, " "), cl.Counters().Render("counters")
+		return elapsed, strings.Join(ev, " "), clusterCounters(cl).Render("counters")
 	}
 	var baseElapsed sim.Cycles
 	var baseEvents, baseCounters string

@@ -35,6 +35,8 @@ type Chunk struct {
 }
 
 // Add accumulates another chunk into c.
+//
+//simlint:allow deadexport deferred sweep: test-only; deleting it also deletes its dedicated test (queued on ROADMAP)
 func (c *Chunk) Add(o Chunk) {
 	c.Flops += o.Flops
 	c.Divides += o.Divides
@@ -50,6 +52,8 @@ func (c *Chunk) Add(o Chunk) {
 
 // Scale returns the chunk divided evenly by n (work split across n
 // threads).
+//
+//simlint:allow deadexport deferred sweep: test-only; deleting it also deletes its dedicated test (queued on ROADMAP)
 func (c Chunk) Scale(n int) Chunk {
 	if n <= 1 {
 		return c
@@ -118,6 +122,8 @@ func CapacityMissFraction(wsBytes, cacheBytes int64) float64 {
 
 // SweepMissFraction combines the two: a repeated sequential sweep over a
 // working set misses at the stream rate on the non-resident fraction.
+//
+//simlint:allow deadexport deferred sweep: test-only; deleting it also deletes its dedicated test (queued on ROADMAP)
 func SweepMissFraction(strideBytes int, wsBytes, cacheBytes int64) float64 {
 	cap := CapacityMissFraction(wsBytes, cacheBytes)
 	if cap == 0 {
@@ -130,6 +136,8 @@ func SweepMissFraction(strideBytes int, wsBytes, cacheBytes int64) float64 {
 // levels given the machine layout: with h hypernodes holding the data
 // uniformly (far-shared), a miss is hypernode-local with probability
 // 1/h. Returns (hypernodeMisses, globalMisses).
+//
+//simlint:allow deadexport deferred sweep: test-only; deleting it also deletes its dedicated test (queued on ROADMAP)
 func SplitMisses(misses int64, hypernodes int) (hn, global int64) {
 	if hypernodes <= 1 {
 		return misses, 0

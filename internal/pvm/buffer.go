@@ -1,5 +1,7 @@
 package pvm
 
+//simlint:allow-file deadexport deferred sweep: test-only feature; deleting it also deletes its 3 dedicated tests (queued on ROADMAP)
+
 import "fmt"
 
 // Buffer is a PVM3-style typed pack buffer: the sender packs typed data

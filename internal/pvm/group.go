@@ -1,5 +1,7 @@
 package pvm
 
+//simlint:allow-file deadexport deferred sweep: test-only feature; deleting it also deletes its 5 dedicated tests (queued on ROADMAP)
+
 import "fmt"
 
 // Group is a PVM task group (pvm_joingroup and the group collectives).

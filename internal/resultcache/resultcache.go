@@ -81,13 +81,6 @@ type Cache struct {
 	backingErrs atomic.Int64
 }
 
-// New returns a memory-only cache bounded to capacity completed
-// entries; capacity <= 0 means unbounded. In-flight computations never
-// count against the bound (evicting them would orphan waiters).
-func New(capacity int) *Cache {
-	return NewWithBacking(capacity, nil)
-}
-
 // NewWithBacking layers the cache over a durable backing store:
 // completed results are written through to it, and a lookup that misses
 // memory consults it before computing — so a cache rebuilt after a

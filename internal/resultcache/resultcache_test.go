@@ -344,3 +344,10 @@ func TestBackingMemoryEvictionKeepsDurable(t *testing.T) {
 		t.Fatalf("evicted-but-durable Do = %q, %v, %v", v, out, err)
 	}
 }
+
+// New returns a memory-only cache bounded to capacity completed
+// entries; capacity <= 0 means unbounded. In-flight computations never
+// count against the bound (evicting them would orphan waiters).
+func New(capacity int) *Cache {
+	return NewWithBacking(capacity, nil)
+}

@@ -92,12 +92,6 @@ func (n *Network) RoundTrip(now sim.Cycles, ringIdx, src, dst, payloadBytes int)
 	return n.Send(arrive, ringIdx, dst, src, topology.CacheLineBytes)
 }
 
-// Packets reports the number of packets sent.
-func (n *Network) Packets() int64 { return n.packets }
-
-// Busy reports accumulated service time on one ring.
-func (n *Network) Busy(ringIdx int) sim.Cycles { return n.rings[ringIdx].Busy() }
-
 // Reset clears all ring horizons.
 func (n *Network) Reset() {
 	for i := range n.rings {

@@ -3,6 +3,7 @@ package ring
 import (
 	"testing"
 
+	"spp1000/internal/sim"
 	"spp1000/internal/topology"
 )
 
@@ -78,3 +79,9 @@ func TestReset(t *testing.T) {
 		t.Fatal("reset should clear state")
 	}
 }
+
+// Packets reports the number of packets sent.
+func (n *Network) Packets() int64 { return n.packets }
+
+// Busy reports accumulated service time on one ring.
+func (n *Network) Busy(ringIdx int) sim.Cycles { return n.rings[ringIdx].Busy() }

@@ -83,6 +83,8 @@ func (r *RNG) NormFloat64() float64 {
 func (r *RNG) Maxwellian(vth float64) float64 { return vth * r.NormFloat64() }
 
 // Shuffle permutes the first n indices with Fisher–Yates, calling swap.
+//
+//simlint:allow deadexport deferred sweep: test-only; deleting it also deletes its dedicated test (queued on ROADMAP)
 func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {
 		j := r.Intn(i + 1)

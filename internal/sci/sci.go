@@ -89,17 +89,6 @@ func (p *Protocol) InBuffer(hn int, key topology.LineKey) bool {
 	return p.buffers[hn][key]
 }
 
-// Sharers returns the sharing list (head first), excluding the home.
-func (p *Protocol) Sharers(key topology.LineKey) []int {
-	l, ok := p.lines[key]
-	if !ok {
-		return nil
-	}
-	out := make([]int, len(l.sharers))
-	copy(out, l.sharers)
-	return out
-}
-
 // Attach records that hypernode hn fetched the line from its home and
 // now buffers a copy. It returns the position at which hn entered the
 // list (0 = head; SCI prepends, so this is always 0 for a new sharer).
@@ -204,18 +193,6 @@ func (p *Protocol) PurgeExcept(key topology.LineKey, keep int) []int {
 	return victims
 }
 
-// ListLength reports the sharing-list length for the line.
-func (p *Protocol) ListLength(key topology.LineKey) int {
-	l, ok := p.lines[key]
-	if !ok {
-		return 0
-	}
-	return len(l.sharers)
-}
-
-// Lines reports how many lines currently have sharing lists.
-func (p *Protocol) Lines() int { return len(p.lines) }
-
 func (p *Protocol) check(hn int) {
 	if hn < 0 || hn >= p.nodes {
 		panic(fmt.Sprintf("sci: hypernode %d out of range [0,%d)", hn, p.nodes))
@@ -225,6 +202,8 @@ func (p *Protocol) check(hn int) {
 // CheckInvariants validates protocol consistency: no duplicate sharers,
 // the home never appears in its own list, and the buffer sets mirror the
 // lists exactly.
+//
+//simlint:allow deadexport invariant oracle the memsys coherence property test drives across packages
 func (p *Protocol) CheckInvariants() error {
 	// Every list entry must have a buffered copy.
 	//simlint:allow determinism any one violation suffices; the walk never touches simulator state or rendered output

@@ -203,3 +203,26 @@ func TestListLengthProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Sharers returns the sharing list (head first), excluding the home.
+func (p *Protocol) Sharers(key topology.LineKey) []int {
+	l, ok := p.lines[key]
+	if !ok {
+		return nil
+	}
+	out := make([]int, len(l.sharers))
+	copy(out, l.sharers)
+	return out
+}
+
+// ListLength reports the sharing-list length for the line.
+func (p *Protocol) ListLength(key topology.LineKey) int {
+	l, ok := p.lines[key]
+	if !ok {
+		return 0
+	}
+	return len(l.sharers)
+}
+
+// Lines reports how many lines currently have sharing lists.
+func (p *Protocol) Lines() int { return len(p.lines) }

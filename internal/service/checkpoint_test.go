@@ -9,7 +9,10 @@ package service
 // keeps it on simlint's ledger reconcile surface.
 
 import (
+	"bytes"
 	"context"
+	"fmt"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -18,6 +21,7 @@ import (
 	"time"
 
 	"spp1000/internal/experiments"
+	"spp1000/internal/snapshot"
 	"spp1000/internal/store"
 )
 
@@ -222,4 +226,46 @@ func TestDefaultRunnerCheckpointsRealEngine(t *testing.T) {
 	if got != want {
 		t.Fatalf("resumed result differs from the uninterrupted run (%d vs %d bytes)", len(got), len(want))
 	}
+
+	// A stale v1 checkpoint for the same spec is not resumed from: the
+	// runner recomputes and returns the fresh run's bytes, not a failed
+	// job. Its stale fig2 prefix would show in the result if it were
+	// spliced in, as the same prefix in the current format is.
+	spec, err := experiments.Spec{Experiments: []string{"fig2", "fig3"}, Options: experiments.Quick()}.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := &snapshot.Checkpoint{
+		SpecKey: spec.Key(),
+		Names:   spec.Experiments,
+		Done:    []snapshot.ExperimentResult{{Name: "fig2", Output: "stale fig2 output"}},
+	}
+	out, _, err := DefaultRunCheckpointed(context.Background(), spec, v1Checkpoint(t, stale), nil)
+	if err != nil || out != want {
+		t.Fatalf("v1 prior: err %v, result differs from a fresh run (%d vs %d bytes)", err, len(out), len(want))
+	}
+	out, _, err = DefaultRunCheckpointed(context.Background(), spec, stale.Encode(), nil)
+	if err != nil || !strings.Contains(out, "stale fig2 output") {
+		t.Fatalf("current-format prior with the same prefix was not resumed from (err %v)", err)
+	}
+}
+
+// v1Checkpoint renders c in the v1 archive format: the spp-snapshot-v1
+// magic and a fourth, regions section after the counters.
+func v1Checkpoint(t *testing.T, c *snapshot.Checkpoint) []byte {
+	t.Helper()
+	a, err := snapshot.Decode(c.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	b.WriteString("spp-snapshot-v1\n")
+	for _, name := range []string{"meta", "outputs", "counters"} {
+		data, _ := a.Section(name)
+		fmt.Fprintf(&b, "section %s %d\n%s\n", name, len(data), data)
+	}
+	regions := `[{"name":"fig2","cycles":1,"events":1,"digest":"` + strings.Repeat("0", 64) + `"}]`
+	fmt.Fprintf(&b, "section regions %d\n%s\n", len(regions), regions)
+	fmt.Fprintf(&b, "end 4 %08x\n", crc32.ChecksumIEEE(b.Bytes()))
+	return b.Bytes()
 }

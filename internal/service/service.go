@@ -82,7 +82,7 @@ func DefaultRunCheckpointed(ctx context.Context, spec experiments.Spec, prior []
 	if save != nil {
 		saveCp = func(c *snapshot.Checkpoint) error { return save(c.Encode()) }
 	}
-	outs, cp, err := experiments.RunCheckpointed(ctx, spec.Experiments, spec.Options, pc, 1, saveCp)
+	outs, cp, err := experiments.RunCheckpointed(ctx, spec.Experiments, spec.Options, pc, saveCp)
 	if err != nil {
 		var partial []byte
 		if cp != nil && len(cp.Done) > 0 {

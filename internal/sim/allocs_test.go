@@ -41,7 +41,7 @@ func TestKernelFastPathZeroAllocsPerEvent(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if k.Live() != 0 {
-		t.Fatalf("live = %d after drain, want 0", k.Live())
+	if k.live != 0 {
+		t.Fatalf("live = %d after drain, want 0", k.live)
 	}
 }

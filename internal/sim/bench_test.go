@@ -29,7 +29,7 @@ func BenchmarkKernelEventThroughputDeep(b *testing.B) {
 	b.ReportAllocs()
 	k := NewKernel()
 	for i := 0; i < 1024; i++ {
-		k.At(Time(1_000_000_000+i), func() {})
+		k.At(Cycles(1_000_000_000+i), func() {})
 	}
 	remaining := b.N
 	var fire func()

@@ -7,7 +7,7 @@ import "testing"
 // a yield at the current instant.
 func TestNegativeDelayClamped(t *testing.T) {
 	k := NewKernel()
-	var after Time
+	var after Cycles
 	k.Spawn("p", func(p *Proc) {
 		p.Delay(100)
 		p.Delay(-50)
@@ -76,7 +76,7 @@ func TestHeapPopReleasesReferences(t *testing.T) {
 	k := NewKernel()
 	ran := 0
 	for i := 0; i < 100; i++ {
-		k.At(Time(i), func() { ran++ })
+		k.At(Cycles(i), func() { ran++ })
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)

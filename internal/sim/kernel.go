@@ -9,7 +9,7 @@ import (
 // the process, folded in once per Run/RunUntil return (never on the
 // per-event hot path). It feeds throughput gauges such as sppd's
 // simulated-cycles-per-wall-second metric. The process-wide totals are
-// pure sums of the per-kernel figures (CyclesRun, EventsProcessed), so
+// pure sums of the per-kernel figures (Now, EventsProcessed), so
 // concurrent kernels — runner-pool sweeps, PDES partitions — never
 // conflate each other's counts.
 var totalCycles atomic.Int64
@@ -128,7 +128,6 @@ type Kernel struct {
 	accounted       Cycles // cycles already folded into totalCycles
 	eventsAccounted int64  // events already folded into totalEvents
 
-	deadlock func() string // optional extra diagnostics on deadlock
 }
 
 // NewKernel returns an empty simulation at time zero.
@@ -143,15 +142,9 @@ func (k *Kernel) Now() Cycles { return k.now }
 // Per-instance, so concurrent kernels (runner-pool sweeps, PDES
 // partitions) report their own work; the process-wide TotalEvents is
 // the sum over kernels.
+//
+//simlint:allow deadexport per-kernel event count the parsim determinism tests compare across worker counts
 func (k *Kernel) EventsProcessed() int64 { return k.eventsDone }
-
-// CyclesRun reports the virtual cycles this kernel has advanced so far
-// (kernels start at time zero, so this equals Now). The process-wide
-// TotalCycles is the sum over kernels.
-func (k *Kernel) CyclesRun() Cycles { return k.now }
-
-// Live reports how many Procs have been spawned and not yet finished.
-func (k *Kernel) Live() int { return k.live }
 
 // NextEventAt reports the timestamp of the earliest pending event, or
 // false if the queue is empty. PDES coordinators use it to compute the
@@ -190,10 +183,6 @@ func (k *Kernel) atProc(t Cycles, p *Proc) {
 // After schedules fn to run d cycles from now.
 func (k *Kernel) After(d Cycles, fn func()) { k.At(k.now+d, fn) }
 
-// OnDeadlock registers a diagnostics callback invoked if the simulation
-// deadlocks (procs still live but no events pending).
-func (k *Kernel) OnDeadlock(fn func() string) { k.deadlock = fn }
-
 // Run executes events in timestamp order until the queue is empty.
 // It returns an error if Procs remain alive with nothing scheduled —
 // a deadlock in the simulated program. The failure message is built in
@@ -222,13 +211,12 @@ func (k *Kernel) Run() error {
 // deadlockError formats the deadlock failure: live Procs with nothing
 // scheduled. Cold by construction — it runs at most once per Run, after
 // the event loop has drained — so the fmt boxing it does is kept out of
-// the escape-gated hot path.
+// the escape-gated hot path (and kept out of line, so inlining cannot
+// pull it back in).
+//
+//go:noinline
 func (k *Kernel) deadlockError() error {
-	msg := fmt.Sprintf("sim: deadlock: %d procs alive, no events pending at %v", k.live, k.now)
-	if k.deadlock != nil {
-		msg += "\n" + k.deadlock()
-	}
-	return fmt.Errorf("%s", msg)
+	return fmt.Errorf("sim: deadlock: %d procs alive, no events pending at %v", k.live, k.now)
 }
 
 // RunUntil executes events until the queue is empty or the clock would

@@ -9,26 +9,17 @@ import (
 )
 
 func TestTimeConversions(t *testing.T) {
-	if Micros(1) != 100 {
-		t.Fatalf("Micros(1) = %d, want 100 cycles", Micros(1))
-	}
-	if Micros(3.5) != 350 {
-		t.Fatalf("Micros(3.5) = %d, want 350", Micros(3.5))
-	}
-	if Nanos(10) != 1 {
-		t.Fatalf("Nanos(10) = %d, want 1 cycle", Nanos(10))
-	}
-	if got := Time(350).Micros(); got != 3.5 {
+	if got := Cycles(350).Micros(); got != 3.5 {
 		t.Fatalf("(350 cycles).Micros() = %v, want 3.5", got)
 	}
-	if got := Time(1e9).Seconds(); got != 10 {
+	if got := Cycles(1e9).Seconds(); got != 10 {
 		t.Fatalf("(1e9 cycles).Seconds() = %v, want 10", got)
 	}
 }
 
 func TestTimeString(t *testing.T) {
 	cases := []struct {
-		t    Time
+		t    Cycles
 		want string
 	}{
 		{50, "50cy"},
@@ -38,15 +29,15 @@ func TestTimeString(t *testing.T) {
 	}
 	for _, c := range cases {
 		if got := c.t.String(); got != c.want {
-			t.Errorf("Time(%d).String() = %q, want %q", int64(c.t), got, c.want)
+			t.Errorf("Cycles(%d).String() = %q, want %q", int64(c.t), got, c.want)
 		}
 	}
 }
 
 func TestEventsFireInTimeOrder(t *testing.T) {
 	k := NewKernel()
-	var order []Time
-	for _, at := range []Time{50, 10, 30, 10, 90, 0} {
+	var order []Cycles
+	for _, at := range []Cycles{50, 10, 30, 10, 90, 0} {
 		at := at
 		k.At(at, func() { order = append(order, at) })
 	}
@@ -80,7 +71,7 @@ func TestEqualTimeEventsFIFO(t *testing.T) {
 
 func TestPastSchedulingClamped(t *testing.T) {
 	k := NewKernel()
-	var fired Time = -1
+	var fired Cycles = -1
 	k.At(100, func() {
 		k.At(10, func() { fired = k.Now() }) // in the past
 	})
@@ -94,11 +85,11 @@ func TestPastSchedulingClamped(t *testing.T) {
 
 func TestProcDelayAdvancesClock(t *testing.T) {
 	k := NewKernel()
-	var at1, at2 Time
+	var at1, at2 Cycles
 	k.Spawn("p", func(p *Proc) {
-		p.Delay(Micros(5))
+		p.Delay(500)
 		at1 = p.Now()
-		p.Delay(Micros(2.5))
+		p.Delay(250)
 		at2 = p.Now()
 	})
 	if err := k.Run(); err != nil {
@@ -111,8 +102,8 @@ func TestProcDelayAdvancesClock(t *testing.T) {
 
 func TestSpawnAt(t *testing.T) {
 	k := NewKernel()
-	var started Time
-	k.SpawnAt(Micros(7), "late", func(p *Proc) { started = p.Now() })
+	var started Cycles
+	k.SpawnAt(700, "late", func(p *Proc) { started = p.Now() })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +175,7 @@ func TestSemaphoreMutualExclusion(t *testing.T) {
 func TestSemaphoreCounting(t *testing.T) {
 	k := NewKernel()
 	sem := k.NewSemaphore("s", 2)
-	var done Time
+	var done Cycles
 	for i := 0; i < 4; i++ {
 		k.Spawn("w", func(p *Proc) {
 			sem.P(p)
@@ -228,7 +219,7 @@ func TestMutexBlocksAndReleases(t *testing.T) {
 func TestEventBroadcast(t *testing.T) {
 	k := NewKernel()
 	ev := k.NewEvent("go")
-	released := make([]Time, 0, 3)
+	released := make([]Cycles, 0, 3)
 	for i := 0; i < 3; i++ {
 		k.Spawn("waiter", func(p *Proc) {
 			ev.Wait(p)
@@ -236,7 +227,7 @@ func TestEventBroadcast(t *testing.T) {
 		})
 	}
 	k.Spawn("setter", func(p *Proc) {
-		p.Delay(Micros(1))
+		p.Delay(CyclesPerMicro)
 		ev.Set()
 	})
 	if err := k.Run(); err != nil {
@@ -322,12 +313,12 @@ func TestEventOrderProperty(t *testing.T) {
 	prop := func(times []uint16) bool {
 		k := NewKernel()
 		type rec struct {
-			at  Time
+			at  Cycles
 			idx int
 		}
 		var fired []rec
 		for i, ut := range times {
-			i, at := i, Time(ut)
+			i, at := i, Cycles(ut)
 			k.At(at, func() { fired = append(fired, rec{k.Now(), i}) })
 		}
 		if err := k.Run(); err != nil {
@@ -335,7 +326,7 @@ func TestEventOrderProperty(t *testing.T) {
 		}
 		var prev rec
 		for i, r := range fired {
-			if r.at != Time(times[r.idx]) {
+			if r.at != Cycles(times[r.idx]) {
 				return false // fired at wrong time
 			}
 			if i > 0 {
@@ -362,14 +353,14 @@ func TestProcIsolationProperty(t *testing.T) {
 		rnd := rng.New(uint64(seed))
 		k := NewKernel()
 		n := 2 + rnd.Intn(6)
-		want := make([]Time, n)
-		got := make([]Time, n)
+		want := make([]Cycles, n)
+		got := make([]Cycles, n)
 		for i := 0; i < n; i++ {
 			i := i
 			steps := 1 + rnd.Intn(8)
-			delays := make([]Time, steps)
+			delays := make([]Cycles, steps)
 			for j := range delays {
-				delays[j] = Time(rnd.Intn(1000))
+				delays[j] = Cycles(rnd.Intn(1000))
 				want[i] += delays[j]
 			}
 			k.Spawn("p", func(p *Proc) {
@@ -429,7 +420,7 @@ func TestTotalCyclesAccounting(t *testing.T) {
 // repeated Run/RunUntil calls).
 func TestPerKernelAccounting(t *testing.T) {
 	k1, k2 := NewKernel(), NewKernel()
-	for _, at := range []Time{10, 20, 30} {
+	for _, at := range []Cycles{10, 20, 30} {
 		k1.At(at, func() {})
 	}
 	k2.At(5, func() {})
@@ -448,7 +439,7 @@ func TestPerKernelAccounting(t *testing.T) {
 	if got := k1.EventsProcessed(); got != 2 {
 		t.Fatalf("k1 processed %d events after RunUntil(20), want 2", got)
 	}
-	if got := k1.CyclesRun(); got != 20 {
+	if got := k1.Now(); got != 20 {
 		t.Fatalf("k1 CyclesRun = %v, want 20", got)
 	}
 	if at, ok := k1.NextEventAt(); !ok || at != 30 {

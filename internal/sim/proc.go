@@ -50,9 +50,6 @@ func (k *Kernel) SpawnAt(t Cycles, name string, body func(p *Proc)) *Proc {
 // Name reports the Proc's name.
 func (p *Proc) Name() string { return p.name }
 
-// Kernel reports the owning kernel.
-func (p *Proc) Kernel() *Kernel { return p.k }
-
 // Now reports the current virtual time.
 func (p *Proc) Now() Cycles { return p.k.now }
 
@@ -85,6 +82,3 @@ func (p *Proc) Delay(d Cycles) {
 	p.unparkAt(p.k.now + d)
 	p.park("sleeping")
 }
-
-// Yield lets any other work scheduled at the current instant run first.
-func (p *Proc) Yield() { p.Delay(0) }

@@ -30,6 +30,8 @@ func (r *Resource) Reserve(now, dur Cycles) (done Cycles) {
 func (r *Resource) FreeAt() Cycles { return r.freeAt }
 
 // Busy reports the total service time booked so far.
+//
+//simlint:allow deadexport service-time probe the ring and xbar tests drive
 func (r *Resource) Busy() Cycles { return r.busy }
 
 // Reset clears the horizon and accumulated utilization.

@@ -49,16 +49,16 @@ func TestResourceReset(t *testing.T) {
 func TestResourceAccounting(t *testing.T) {
 	prop := func(durs []uint8) bool {
 		var r Resource
-		now := Time(0)
-		var total Time
+		now := Cycles(0)
+		var total Cycles
 		for _, d8 := range durs {
-			d := Time(d8)
+			d := Cycles(d8)
 			done := r.Reserve(now, d)
 			if done < now+d {
 				return false
 			}
 			total += d
-			now += Time(d8 / 2) // requests arrive faster than service
+			now += Cycles(d8 / 2) // requests arrive faster than service
 		}
 		return r.Busy() == total
 	}

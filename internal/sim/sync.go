@@ -65,9 +65,6 @@ func (s *Semaphore) V() {
 	s.q.wakeOne(s.k, 0)
 }
 
-// Count reports the current count (no waiters implied).
-func (s *Semaphore) Count() int { return s.n }
-
 // Mutex is a binary lock in virtual time.
 type Mutex struct {
 	k      *Kernel

@@ -22,18 +22,8 @@ import "fmt"
 // package — see docs/LINT.md.
 type Cycles int64
 
-// Time is the legacy name of Cycles, kept as an alias so older call
-// sites keep compiling; new code should say Cycles.
-type Time = Cycles
-
 // CyclesPerMicro is the number of simulated cycles in one microsecond.
 const CyclesPerMicro = 100
-
-// Micros constructs a duration from microseconds.
-func Micros(us float64) Cycles { return Cycles(us * CyclesPerMicro) }
-
-// Nanos constructs a duration from nanoseconds (rounded to cycles).
-func Nanos(ns float64) Cycles { return Cycles(ns / 10) }
 
 // Micros reports the time in microseconds.
 func (t Cycles) Micros() float64 { return float64(t) / CyclesPerMicro }

@@ -2,8 +2,6 @@ package snapshot
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -43,9 +41,6 @@ type Checkpoint struct {
 	// resumed run seeds its collector with it so final counter totals
 	// are exactly equal to an uninterrupted run's.
 	Counters counters.Snapshot
-	// Regions is the representative-region signature scaffold: one
-	// signature per completed experiment (see docs/SAMPLING.md).
-	Regions []RegionSignature
 }
 
 // Section names of the checkpoint archive, in encode order.
@@ -53,12 +48,10 @@ const (
 	sectionMeta     = "meta"
 	sectionOutputs  = "outputs"
 	sectionCounters = "counters"
-	sectionRegions  = "regions"
 )
 
-// Encode renders the checkpoint as an Archive (versioned, CRC-framed,
-// content-addressed). Deterministic: equal checkpoints encode to equal
-// bytes.
+// Encode renders the checkpoint as a versioned, CRC-framed Archive.
+// Deterministic: equal checkpoints encode to equal bytes.
 func (c *Checkpoint) Encode() []byte {
 	a := New()
 	var meta bytes.Buffer
@@ -75,20 +68,11 @@ func (c *Checkpoint) Encode() []byte {
 	}
 	a.Add(sectionOutputs, outs.Bytes())
 
-	// counters.Snapshot and []RegionSignature are sorted slices, so
-	// encoding/json renders them deterministically.
+	// counters.Snapshot is a sorted slice, so encoding/json renders it
+	// deterministically.
 	cj, _ := json.Marshal(c.Counters)
 	a.Add(sectionCounters, cj)
-	rj, _ := json.Marshal(c.Regions)
-	a.Add(sectionRegions, rj)
 	return a.Encode()
-}
-
-// ID is the checkpoint's content address: the hex SHA-256 of its
-// encoded archive bytes.
-func (c *Checkpoint) ID() string {
-	sum := sha256.Sum256(c.Encode())
-	return hex.EncodeToString(sum[:])
 }
 
 // ExperimentResult is one completed experiment's rendered output.
@@ -176,11 +160,6 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if cj, ok := a.Section(sectionCounters); ok && len(cj) > 0 {
 		if err := json.Unmarshal(cj, &c.Counters); err != nil {
 			return nil, fmt.Errorf("snapshot: bad counters section: %v", err)
-		}
-	}
-	if rj, ok := a.Section(sectionRegions); ok && len(rj) > 0 {
-		if err := json.Unmarshal(rj, &c.Regions); err != nil {
-			return nil, fmt.Errorf("snapshot: bad regions section: %v", err)
 		}
 	}
 	return c, nil

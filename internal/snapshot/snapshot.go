@@ -1,43 +1,35 @@
-// Package snapshot is the versioned, CRC32-framed, content-addressed
-// encoding of in-progress simulator state: the checkpoint/restore layer
-// that makes long runs killable and resumable with byte-exact results.
+// Package snapshot is the versioned, CRC32-framed encoding of
+// in-progress simulator state: the checkpoint/restore layer that makes
+// long runs killable and resumable with byte-exact results.
 //
 // The package has two levels. The Archive is the generic container — a
-// named-section framing with a format version, an integrity CRC over
-// the whole body, and a SHA-256 content address, mirroring the
-// store's entry framing but for multi-part state. The Checkpoint is
-// the experiment-suite payload carried in an Archive: the completed
-// prefix of a run (rendered outputs, sim-cycle/event totals, the merged
-// PMU counter snapshot) plus the representative-region signature
-// scaffold (docs/SAMPLING.md). Kernel- and coordinator-level state
-// records are written by sim.Kernel.Snapshot and
-// parsim.Coordinator.Snapshot and ride inside Archive sections.
+// named-section framing with a format version and an integrity CRC over
+// the whole body, mirroring the store's entry framing but for
+// multi-part state. The Checkpoint is the experiment-suite payload
+// carried in an Archive: the completed prefix of a run (rendered
+// outputs, sim-cycle/event totals, and the merged PMU counter
+// snapshot), in three sections — meta, outputs, counters.
 //
 // Every encoding here is deterministic: equal state always encodes to
-// equal bytes, so the content address is a sound identity (the same
-// property experiments.Spec.Key gives specs). Checkpoints are persisted
-// through the internal/store entry framing — atomic temp-plus-rename
-// writes, corrupt-detect-delete reads — so a torn checkpoint can never
-// be resumed from (see WriteFile/ReadFile).
+// equal bytes. Checkpoints are persisted through the internal/store
+// entry framing — atomic temp-plus-rename writes, corrupt-detect-delete
+// reads — so a torn checkpoint can never be resumed from (see
+// WriteFile/ReadFile).
 package snapshot
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"hash/crc32"
 	"strconv"
 	"strings"
 )
 
-// Version is the archive format generation. Bump it whenever the
-// framing or any section's meaning changes, so stale checkpoints read
-// as unreadable (and are discarded) instead of misparsing.
-const Version = 1
-
-// archiveMagic is the first line of every encoded archive.
-const archiveMagic = "spp-snapshot-v1"
+// archiveMagic is the first line of every encoded archive, and the one
+// place the format generation is written. Bump its version whenever the
+// framing or the section list or meaning changes, so stale checkpoints
+// read as unreadable (and are discarded) instead of misparsing.
+const archiveMagic = "spp-snapshot-v2"
 
 // Section is one named byte payload inside an Archive.
 type Section struct {
@@ -47,9 +39,9 @@ type Section struct {
 	Data []byte
 }
 
-// Archive is an ordered set of named sections with a version header,
-// a CRC32 integrity frame, and a SHA-256 content address. Build one
-// with New+Add, serialize with Encode, and reload with Decode.
+// Archive is an ordered set of named sections with a version header
+// and a CRC32 integrity frame. Build one with New+Add, serialize with
+// Encode, and reload with Decode.
 type Archive struct {
 	sections []Section
 }
@@ -74,7 +66,7 @@ func validSectionName(name string) bool {
 
 // Add appends a section. Names must be valid and unique within the
 // archive — the encoding is order-preserving, so callers fix the
-// section order and with it the content address.
+// section order and with it the encoded bytes.
 func (a *Archive) Add(name string, data []byte) error {
 	if !validSectionName(name) {
 		return fmt.Errorf("snapshot: invalid section name %q", name)
@@ -98,12 +90,9 @@ func (a *Archive) Section(name string) ([]byte, bool) {
 	return nil, false
 }
 
-// Sections reports the section count.
-func (a *Archive) Sections() int { return len(a.sections) }
-
 // Encode renders the archive:
 //
-//	spp-snapshot-v1
+//	spp-snapshot-v2
 //	section <name> <len>
 //	<len payload bytes>
 //	...
@@ -123,14 +112,6 @@ func (a *Archive) Encode() []byte {
 	}
 	fmt.Fprintf(&b, "end %d %08x\n", len(a.sections), crc32.ChecksumIEEE(b.Bytes()))
 	return b.Bytes()
-}
-
-// ID is the archive's content address: the hex SHA-256 of its encoded
-// bytes. Equal state ⇒ equal bytes ⇒ equal ID, so checkpoints can be
-// stored and deduplicated content-addressed exactly like results.
-func (a *Archive) ID() string {
-	sum := sha256.Sum256(a.Encode())
-	return hex.EncodeToString(sum[:])
 }
 
 // Decode validates an encoded archive — magic line, section framing,

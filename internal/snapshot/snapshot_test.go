@@ -3,6 +3,8 @@ package snapshot
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,6 +12,7 @@ import (
 	"testing"
 
 	"spp1000/internal/counters"
+	"spp1000/internal/store"
 )
 
 func TestArchiveRoundTrip(t *testing.T) {
@@ -28,9 +31,6 @@ func TestArchiveRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
-	if b.Sections() != 3 {
-		t.Fatalf("sections = %d, want 3", b.Sections())
-	}
 	for _, name := range []string{"meta", "outputs", "empty"} {
 		want, _ := a.Section(name)
 		got, ok := b.Section(name)
@@ -40,9 +40,6 @@ func TestArchiveRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(b.Encode(), enc) {
 		t.Fatal("re-encode is not byte-identical")
-	}
-	if a.ID() != b.ID() {
-		t.Fatal("content address changed across a round trip")
 	}
 }
 
@@ -98,19 +95,31 @@ func testCheckpoint() *Checkpoint {
 	g := reg.Group("cpu0.pmu")
 	g.Counter("cache_miss").Add(42)
 	g.Counter("cycles").Add(1000)
-	snap := reg.Snapshot()
 	return &Checkpoint{
 		SpecKey:   "abcdef0123456789",
 		Names:     []string{"fig2", "tab1", "fig6"},
 		Done:      []ExperimentResult{{Name: "fig2", Output: "line one\nline two\n"}, {Name: "tab1", Output: ""}},
 		SimCycles: 123456,
 		SimEvents: 789,
-		Counters:  snap,
-		Regions: []RegionSignature{
-			Signature("fig2", 100000, 500, snap.Flatten()),
-			Signature("tab1", 23456, 289, nil),
-		},
+		Counters:  reg.Snapshot(),
 	}
+}
+
+// v1Archive renders c the way the v1 format wrote it: the
+// spp-snapshot-v1 magic, and a fourth section of region signatures
+// after the counters.
+func v1Archive(c *Checkpoint) []byte {
+	a, _ := Decode(c.Encode())
+	var b bytes.Buffer
+	b.WriteString("spp-snapshot-v1\n")
+	for _, name := range []string{sectionMeta, sectionOutputs, sectionCounters} {
+		data, _ := a.Section(name)
+		fmt.Fprintf(&b, "section %s %d\n%s\n", name, len(data), data)
+	}
+	regions := `[{"name":"fig2","cycles":100000,"events":500,"digest":"` + strings.Repeat("0", 64) + `"}]`
+	fmt.Fprintf(&b, "section regions %d\n%s\n", len(regions), regions)
+	fmt.Fprintf(&b, "end 4 %08x\n", crc32.ChecksumIEEE(b.Bytes()))
+	return b.Bytes()
 }
 
 func TestCheckpointRoundTrip(t *testing.T) {
@@ -126,8 +135,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, c) {
 		t.Fatalf("round trip diverged:\n got %+v\nwant %+v", got, c)
 	}
-	if got.ID() != c.ID() {
-		t.Fatal("ID changed across round trip")
+	if !bytes.Equal(got.Encode(), enc) {
+		t.Fatal("re-encode is not byte-identical")
 	}
 }
 
@@ -175,6 +184,21 @@ func TestCheckpointDecodeStrictness(t *testing.T) {
 	tampered.Add(sectionOutputs, []byte("exp fig2 999\nshort\n"))
 	if _, err := DecodeCheckpoint(tampered.Encode()); err == nil {
 		t.Fatal("output length mismatch accepted")
+	}
+
+	// A stale v1 checkpoint, still carrying its regions section: it must
+	// not decode, and on disk it is deleted and reported corrupt.
+	v1 := v1Archive(base)
+	if _, err := DecodeCheckpoint(v1); err == nil {
+		t.Fatal("v1 archive accepted")
+	}
+	path := filepath.Join(t.TempDir(), "v1.ckpt")
+	os.WriteFile(path, store.Encode(string(v1)), 0o644)
+	if _, err := ReadFile(path); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("v1 file: err = %v, want ErrCorrupt", err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatal("v1 file was not deleted")
 	}
 }
 
@@ -234,23 +258,5 @@ func TestReadFileCorruptDeletes(t *testing.T) {
 	}
 	if _, err := os.Stat(p2); !os.IsNotExist(err) {
 		t.Fatal("torn file was not deleted")
-	}
-}
-
-func TestSignatureDeterministic(t *testing.T) {
-	flat := map[string]int64{"b.x": 2, "a.y": 1, "c.z": 3}
-	s1 := Signature("fig2", 100, 10, flat)
-	s2 := Signature("fig2", 100, 10, map[string]int64{"c.z": 3, "a.y": 1, "b.x": 2})
-	if s1 != s2 {
-		t.Fatalf("equal inputs, different signatures:\n%+v\n%+v", s1, s2)
-	}
-	if s1.Digest == Signature("fig2", 100, 10, map[string]int64{"a.y": 1}).Digest {
-		t.Fatal("different counter vectors share a digest")
-	}
-	if s1.Digest == Signature("fig3", 100, 10, flat).Digest {
-		t.Fatal("different names share a digest")
-	}
-	if len(s1.Digest) != 64 {
-		t.Fatalf("digest %q is not hex sha-256", s1.Digest)
 	}
 }

@@ -317,6 +317,8 @@ func (s *Store) evictLocked() {
 }
 
 // Stats returns a snapshot of the cumulative counters.
+//
+//simlint:allow deadexport counter hook the service fault-matrix tests drive across packages
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -1,5 +1,7 @@
 package threads
 
+//simlint:allow-file deadexport deferred sweep: test-only feature; deleting it also deletes its 2 dedicated tests (queued on ROADMAP)
+
 import (
 	"fmt"
 

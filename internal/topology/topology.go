@@ -62,15 +62,6 @@ func New(n int) (Topology, error) {
 // NumCPUs reports the total processor count.
 func (t Topology) NumCPUs() int { return t.Hypernodes * CPUsPerNode }
 
-// CPUs returns all CPU identifiers in machine order.
-func (t Topology) CPUs() []CPUID {
-	ids := make([]CPUID, t.NumCPUs())
-	for i := range ids {
-		ids[i] = CPUID(i)
-	}
-	return ids
-}
-
 // RingHops reports the number of unidirectional ring hops from hypernode
 // src to dst (zero when equal).
 func (t Topology) RingHops(src, dst int) int {

@@ -183,3 +183,12 @@ func TestClassString(t *testing.T) {
 		t.Error("unknown class should still format")
 	}
 }
+
+// CPUs returns all CPU identifiers in machine order.
+func (t Topology) CPUs() []CPUID {
+	ids := make([]CPUID, t.NumCPUs())
+	for i := range ids {
+		ids[i] = CPUID(i)
+	}
+	return ids
+}

@@ -97,23 +97,6 @@ func (r *Recorder) Lanes() []string {
 	return out
 }
 
-// Totals sums the time per (lane, state).
-func (r *Recorder) Totals() map[string]map[State]sim.Cycles {
-	out := map[string]map[State]sim.Cycles{}
-	if r == nil {
-		return out
-	}
-	for _, iv := range r.intervals {
-		m := out[iv.Lane]
-		if m == nil {
-			m = map[State]sim.Cycles{}
-			out[iv.Lane] = m
-		}
-		m[iv.State] += iv.To - iv.From
-	}
-	return out
-}
-
 // clampLine truncates s to at most max runes, so no rendered line —
 // including the caller-supplied title — exceeds the timeline width.
 func clampLine(s string, max int) string {

@@ -105,3 +105,20 @@ func TestRenderClampsTinyWidth(t *testing.T) {
 		t.Fatalf("clamped render missing data:\n%s", out)
 	}
 }
+
+// Totals sums the time per (lane, state).
+func (r *Recorder) Totals() map[string]map[State]sim.Cycles {
+	out := map[string]map[State]sim.Cycles{}
+	if r == nil {
+		return out
+	}
+	for _, iv := range r.intervals {
+		m := out[iv.Lane]
+		if m == nil {
+			m = map[State]sim.Cycles{}
+			out[iv.Lane] = m
+		}
+		m[iv.State] += iv.To - iv.From
+	}
+	return out
+}

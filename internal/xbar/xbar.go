@@ -40,9 +40,6 @@ func (x *Crossbar) AttachCounters(g *counters.Group) {
 	}
 }
 
-// IOPort is the port index of the I/O connection.
-const IOPort = topology.FUsPerNode
-
 // New returns an idle crossbar.
 func New() *Crossbar { return &Crossbar{} }
 
@@ -70,12 +67,6 @@ func (x *Crossbar) Traverse(now sim.Cycles, src, dst int, dur sim.Cycles) sim.Cy
 	}
 	return start + dur
 }
-
-// Transfers reports the number of traversals completed.
-func (x *Crossbar) Transfers() int64 { return x.transfers }
-
-// PortBusy reports the accumulated service time of a port.
-func (x *Crossbar) PortBusy(port int) sim.Cycles { return x.ports[port].Busy() }
 
 // Reset clears all port horizons.
 func (x *Crossbar) Reset() {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"spp1000/internal/sim"
+	"spp1000/internal/topology"
 )
 
 func TestUncontendedTraversal(t *testing.T) {
@@ -68,3 +69,12 @@ func TestReset(t *testing.T) {
 	}
 	_ = sim.Cycles(0)
 }
+
+// IOPort is the port index of the I/O connection.
+const IOPort = topology.FUsPerNode
+
+// Transfers reports the number of traversals completed.
+func (x *Crossbar) Transfers() int64 { return x.transfers }
+
+// PortBusy reports the accumulated service time of a port.
+func (x *Crossbar) PortBusy(port int) sim.Cycles { return x.ports[port].Busy() }
