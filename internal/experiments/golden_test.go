@@ -18,7 +18,7 @@ var update = flag.Bool("update", false, "rewrite the golden files")
 // after any intentional model or calibration change.
 func TestGoldenOutputs(t *testing.T) {
 	o := Quick()
-	for _, name := range []string{"fig2", "fig3", "fig4", "tab1", "tab2", "classes"} {
+	for _, name := range []string{"fig2", "fig3", "fig4", "tab1", "tab2", "classes", "fig6", "fig7", "scalepar"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			out, err := Run(name, o)
