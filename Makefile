@@ -11,11 +11,13 @@ LOAD_JSON ?= LOAD_8.json
 all: build vet lint test race
 
 # Tier-1 verification chain: compile, static checks, doc coverage,
-# simulator invariants, tests, race tests, the fault matrix (which runs
-# the checkpoint resume-exactness gate once), the PDES golden-equality
-# gate, the sharded-cluster gate, and the load-harness + perf-trend gate.
+# simulator invariants, the nested perfbench module (which `./...`
+# skips, yet calls the simulator's APIs), tests, race tests, the fault
+# matrix (which runs the checkpoint resume-exactness gate once), the
+# PDES golden-equality gate, the sharded-cluster gate, and the
+# load-harness + perf-trend gate.
 verify:
-	$(GO) build ./... && $(GO) vet ./... && $(GO) run ./cmd/doccheck && $(GO) run ./cmd/simlint && $(GO) test ./... && $(GO) test -race ./... && $(MAKE) faultmatrix && $(MAKE) pdes && $(MAKE) cluster && $(MAKE) loadcheck
+	$(GO) build ./... && $(GO) vet ./... && $(GO) run ./cmd/doccheck && $(GO) run ./cmd/simlint && $(GO) -C perfbench vet ./... && $(GO) -C perfbench test -short . && $(GO) test ./... && $(GO) test -race ./... && $(MAKE) faultmatrix && $(MAKE) pdes && $(MAKE) cluster && $(MAKE) loadcheck
 
 # Fail on undocumented exported symbols of the core packages
 # (internal/sim, internal/trace, internal/runner, internal/counters,

@@ -37,10 +37,7 @@ func main() {
 	chrome := flag.String("chrome", "", "write the timeline as Chrome trace-event JSON to this file (- for stdout); counters ride along in otherData")
 	flag.Parse()
 
-	hn := (*nThreads + topology.CPUsPerNode - 1) / topology.CPUsPerNode
-	if hn < 1 {
-		hn = 1
-	}
+	hn := topology.HypernodesFor(*nThreads)
 	if hn > topology.MaxHypernodes {
 		log.Fatalf("sppprof: %d threads exceed the %d-CPU machine", *nThreads, topology.MaxHypernodes*topology.CPUsPerNode)
 	}

@@ -39,10 +39,7 @@ const zoneFlops = 2 * 260
 // The physics advances for real; the machine time comes from playing
 // each step's measured block count through the cost model.
 func Run(d *Domain, procs, steps int) (Result, error) {
-	hn := (procs + topology.CPUsPerNode - 1) / topology.CPUsPerNode
-	if hn < 1 {
-		hn = 1
-	}
+	hn := topology.HypernodesFor(procs)
 	m, err := machine.New(machine.Config{Hypernodes: hn})
 	if err != nil {
 		return Result{}, err

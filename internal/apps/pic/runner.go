@@ -22,59 +22,11 @@ type Result struct {
 	Mflops  float64
 }
 
-// hypernodesFor reports how many hypernodes a high-locality team spans.
-func hypernodesFor(procs int) int {
-	hn := (procs + topology.CPUsPerNode - 1) / topology.CPUsPerNode
-	if hn < 1 {
-		hn = 1
-	}
-	return hn
-}
-
-// machineFor builds a machine just large enough for the team (the paper
-// used a two-hypernode, 16-CPU system).
-func machineFor(procs int) (*machine.Machine, int, error) {
-	hn := hypernodesFor(procs)
-	m, err := machine.New(machine.Config{Hypernodes: hn})
-	return m, hn, err
-}
-
 // RunShared times the shared-memory PIC variant: particle arrays
 // block-partitioned over threads, grids far-shared, the field solve
 // parallelized across threads, four barriers per step.
 func RunShared(size Size, procs, steps int) (Result, error) {
-	m, hn, err := machineFor(procs)
-	if err != nil {
-		return Result{}, err
-	}
-	model := NewModel(size, procs, hn, false)
-	deposit := perfmodel.Cycles(m.P, model.DepositChunk())
-	reduce := perfmodel.Cycles(m.P, model.ReduceChunk())
-	solve := perfmodel.Cycles(m.P, model.SolveChunk(false))
-	gather := perfmodel.Cycles(m.P, model.GatherPushChunk())
-
-	bar := threads.NewBarrier(m, procs, 0)
-	elapsed, err := threads.RunTeam(m, procs, threads.HighLocality, func(th *machine.Thread, tid int) {
-		for step := 0; step < steps; step++ {
-			th.ComputeCycles(deposit)
-			bar.Wait(th)
-			th.ComputeCycles(reduce)
-			bar.Wait(th)
-			th.ComputeCycles(solve)
-			bar.Wait(th)
-			th.ComputeCycles(gather)
-			bar.Wait(th)
-		}
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	sec := elapsed.Seconds()
-	fl := model.FlopsPerStep() * int64(steps)
-	return Result{
-		Size: size, Procs: procs, Steps: steps, Variant: "shared",
-		Seconds: sec, Mflops: float64(fl) / sec / 1e6,
-	}, nil
+	return runShared(threads.NewEngine, "shared", size, procs, steps)
 }
 
 // RunSharedPar is RunShared on the hypernode-partitioned (PDES) engine:
@@ -87,37 +39,39 @@ func RunShared(size Size, procs, steps int) (Result, error) {
 // monolithic coherence replay, so its absolute times are compared
 // within the partitioned family, not against RunShared.
 func RunSharedPar(size Size, procs, steps int) (Result, error) {
-	hn := hypernodesFor(procs)
-	cl, err := parsim.NewCluster(hn)
-	if err != nil {
-		return Result{}, err
-	}
-	model := NewModel(size, procs, hn, false)
-	deposit := perfmodel.Cycles(cl.P, model.DepositChunk())
-	reduce := perfmodel.Cycles(cl.P, model.ReduceChunk())
-	solve := perfmodel.Cycles(cl.P, model.SolveChunk(false))
-	gather := perfmodel.Cycles(cl.P, model.GatherPushChunk())
+	return runShared(parsim.NewEngine, "shared-pdes", size, procs, steps)
+}
 
-	nodeOf := make([]int, procs)
-	counts := make([]int, hn)
-	for tid := 0; tid < procs; tid++ {
-		nodeOf[tid] = threads.CPUFor(cl.Topo, threads.HighLocality, tid, procs).Hypernode()
-		counts[nodeOf[tid]]++
-	}
-	bar, err := parsim.NewClusterBarrier(cl, counts)
+// runShared is the shared variant's one step loop, on the engine that
+// newEngine builds just large enough for the team (the paper used a
+// two-hypernode, 16-CPU system).
+func runShared(newEngine func(hn int) (threads.Engine, error), variant string, size Size, procs, steps int) (Result, error) {
+	hn := topology.HypernodesFor(procs)
+	e, err := newEngine(hn)
 	if err != nil {
 		return Result{}, err
 	}
-	elapsed, err := cl.RunTeam(procs, func(th *machine.Thread, tid int) {
+	p := e.Params()
+	model := NewModel(size, procs, hn, false)
+	deposit := perfmodel.Cycles(p, model.DepositChunk())
+	reduce := perfmodel.Cycles(p, model.ReduceChunk())
+	solve := perfmodel.Cycles(p, model.SolveChunk(false))
+	gather := perfmodel.Cycles(p, model.GatherPushChunk())
+
+	bar, err := e.TeamBarrier(procs)
+	if err != nil {
+		return Result{}, err
+	}
+	elapsed, err := e.RunTeam(procs, func(th *machine.Thread, tid int) {
 		for step := 0; step < steps; step++ {
 			th.ComputeCycles(deposit)
-			bar.Wait(th, nodeOf[tid])
+			bar.Wait(th, tid)
 			th.ComputeCycles(reduce)
-			bar.Wait(th, nodeOf[tid])
+			bar.Wait(th, tid)
 			th.ComputeCycles(solve)
-			bar.Wait(th, nodeOf[tid])
+			bar.Wait(th, tid)
 			th.ComputeCycles(gather)
-			bar.Wait(th, nodeOf[tid])
+			bar.Wait(th, tid)
 		}
 	})
 	if err != nil {
@@ -126,7 +80,7 @@ func RunSharedPar(size Size, procs, steps int) (Result, error) {
 	sec := elapsed.Seconds()
 	fl := model.FlopsPerStep() * int64(steps)
 	return Result{
-		Size: size, Procs: procs, Steps: steps, Variant: "shared-pdes",
+		Size: size, Procs: procs, Steps: steps, Variant: variant,
 		Seconds: sec, Mflops: float64(fl) / sec / 1e6,
 	}, nil
 }
@@ -136,7 +90,8 @@ func RunSharedPar(size Size, procs, steps int) (Result, error) {
 // memory, the density all-reduced to task 0, the field solved there, and
 // the three field components broadcast back — all through ConvexPVM.
 func RunPVM(size Size, procs, steps int) (Result, error) {
-	m, hn, err := machineFor(procs)
+	hn := topology.HypernodesFor(procs)
+	m, err := machine.New(machine.Config{Hypernodes: hn})
 	if err != nil {
 		return Result{}, err
 	}

@@ -123,10 +123,7 @@ func Run(cfg Config, procs, steps int) (Result, error) {
 	if nt%procs != 0 {
 		return Result{}, fmt.Errorf("ppm: %d tiles not divisible by %d procs", nt, procs)
 	}
-	hn := (procs + topology.CPUsPerNode - 1) / topology.CPUsPerNode
-	if hn < 1 {
-		hn = 1
-	}
+	hn := topology.HypernodesFor(procs)
 	m, err := machine.New(machine.Config{Hypernodes: hn})
 	if err != nil {
 		return Result{}, err

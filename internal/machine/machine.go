@@ -191,6 +191,17 @@ func (th *Thread) ComputeCycles(n int64) {
 // Delay blocks the thread for d cycles (uninstrumented time).
 func (th *Thread) Delay(d sim.Cycles) { th.P.Delay(d) }
 
+// Synchronize runs wait, which parks the thread in a synchronization
+// primitive, and charges to SyncWait the time wait spends beyond
+// compute and memory stall (the CXpa breakdown). It returns that wait.
+func (th *Thread) Synchronize(wait func()) sim.Cycles {
+	t0, busy0, mem0 := th.Now(), th.Busy, th.MemStall
+	wait()
+	w := (th.Now() - t0) - (th.Busy - busy0) - (th.MemStall - mem0)
+	th.SyncWait += w
+	return w
+}
+
 // String identifies the thread.
 func (th *Thread) String() string {
 	return fmt.Sprintf("%s@%v", th.P.Name(), th.CPU)

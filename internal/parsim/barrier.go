@@ -6,6 +6,7 @@ import (
 
 	"spp1000/internal/machine"
 	"spp1000/internal/sim"
+	"spp1000/internal/threads"
 	"spp1000/internal/topology"
 	"spp1000/internal/trace"
 )
@@ -97,17 +98,13 @@ func NewClusterBarrier(c *Cluster, counts []int) (*ClusterBarrier, error) {
 // Wait blocks the thread — which must run on node ni's machine — until
 // every participant on every node has arrived.
 func (b *ClusterBarrier) Wait(th *machine.Thread, ni int) {
-	p := b.c.P
-	nb := b.nodes[ni]
+	wait := th.Synchronize(func() { b.wait(th, ni) })
+	th.M.Trace.Record(th.P.Name(), trace.Sync, th.Now()-wait, th.Now())
+}
 
-	// CXpa accounting, as in the monolithic barrier: everything beyond
-	// compute and memory stall spent here is synchronization wait.
-	t0, busy0, mem0 := th.Now(), th.Busy, th.MemStall
-	defer func() {
-		wait := (th.Now() - t0) - (th.Busy - busy0) - (th.MemStall - mem0)
-		th.SyncWait += wait
-		th.M.Trace.Record(th.P.Name(), trace.Sync, th.Now()-wait, th.Now())
-	}()
+func (b *ClusterBarrier) wait(th *machine.Thread, ni int) {
+	p := b.c.p
+	nb := b.nodes[ni]
 
 	g := th.M.Counters.Group("threads")
 	g.Counter("barrier_waits").Inc()
@@ -141,7 +138,7 @@ func (b *ClusterBarrier) arrive(ni, count int) {
 	if len(b.arrivals) < b.active {
 		return
 	}
-	p := b.c.P
+	p := b.c.p
 	arr := b.arrivals
 	b.arrivals = nil
 	sort.SliceStable(arr, func(i, j int) bool {
@@ -175,13 +172,8 @@ func (b *ClusterBarrier) arrive(ni, count int) {
 		supply := sim.Cycles(0)
 		rel := make([]sim.Cycles, a.count)
 		for i := range rel {
-			r := base + sim.Cycles(p.SpinRefetch)
-			if r < supply {
-				r = supply
-			}
-			r += sim.Cycles(p.SpinReleaseSerial)
-			supply = r
-			rel[i] = r
+			supply = threads.SpinRelease(p, base, supply)
+			rel[i] = supply
 		}
 		nb := b.nodes[a.node]
 		release := func() {

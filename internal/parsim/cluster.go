@@ -28,8 +28,8 @@ type Cluster struct {
 	// Topo is the whole simulated machine (placement, CPU numbering,
 	// ring hop counts); each node's own machine is a 1-hypernode slice.
 	Topo topology.Topology
-	// P is the shared parameter set.
-	P topology.Params
+
+	p topology.Params // shared by every node
 }
 
 // ClusterNode is one hypernode slice of a Cluster.
@@ -47,7 +47,7 @@ func NewCluster(hn int) (*Cluster, error) {
 		return nil, err
 	}
 	p := topology.DefaultParams()
-	c := &Cluster{Topo: topo, P: p}
+	c := &Cluster{Topo: topo, p: p}
 	kernels := make([]*sim.Kernel, hn)
 	for i := 0; i < hn; i++ {
 		m, err := machine.New(machine.Config{Hypernodes: 1, NodeIndex: i})
@@ -84,21 +84,27 @@ func (c *Cluster) Run() error {
 	return err
 }
 
+// Params is the shared parameter set.
+func (c *Cluster) Params() topology.Params { return c.p }
+
+// Topology is the whole simulated machine.
+func (c *Cluster) Topology() topology.Topology { return c.Topo }
+
+// NewEngine builds a cluster of hn hypernodes as an application engine.
+func NewEngine(hn int) (threads.Engine, error) {
+	c, err := NewCluster(hn)
+	if err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
 // RunTeam forks a team of n threads across the cluster under the
-// high-locality placement, runs the partitioned simulation to
-// completion, and reports the fork-to-join virtual duration observed by
-// the parent on hypernode 0 — the partitioned analogue of
-// threads.RunTeam. The dispatch mirrors threads.ForkJoin's cost
-// arithmetic: a one-time remote-runtime initialization the first time
-// the fork crosses a hypernode, a local or remote spawn cost per child
-// (the child begins on its node's kernel at the dispatch-complete
-// instant, carried across the partition boundary as a message — legal
-// because ThreadSpawnRemote far exceeds the lookahead), a child-side
-// start cost, and a per-thread reap cost at join. Remote children send
-// their completion back as a message one lookahead after finishing (the
-// minimum ring crossing — and the exact window horizon, exercising the
-// half-open boundary on every run). When the team saturates the whole
-// machine, thread 0 pays the OS-intrusion slowdown, as in ForkJoin.
+// high-locality placement through threads.ForkJoinVia, runs the
+// partitioned simulation to completion, and reports the fork-to-join
+// virtual duration observed by the parent on hypernode 0 — the
+// partitioned analogue of threads.RunTeam, with the same costs and the
+// same threads counters.
 func (c *Cluster) RunTeam(n int, body func(th *machine.Thread, tid int)) (sim.Cycles, error) {
 	if n < 1 {
 		return 0, fmt.Errorf("parsim: team size must be >= 1, got %d", n)
@@ -106,56 +112,10 @@ func (c *Cluster) RunTeam(n int, body func(th *machine.Thread, tid int)) (sim.Cy
 	if n > c.Topo.NumCPUs() {
 		return 0, fmt.Errorf("parsim: team of %d exceeds the machine's %d CPUs", n, c.Topo.NumCPUs())
 	}
-	p := c.P
-	root := c.Nodes[0]
-	done := root.M.K.NewSemaphore("join", 0)
-	saturated := n >= c.Topo.NumCPUs()
-	look := sim.Cycles(p.InterNodeLookahead())
-
 	var elapsed sim.Cycles
-	root.M.Spawn("main", topology.MakeCPU(0, 0, 0), func(parent *machine.Thread) {
+	c.Nodes[0].M.Spawn("main", topology.MakeCPU(0, 0, 0), func(parent *machine.Thread) {
 		start := parent.Now()
-		crossed := false
-		for tid := 0; tid < n; tid++ {
-			cpu := threads.CPUFor(c.Topo, threads.HighLocality, tid, n)
-			node, local := c.NodeFor(cpu)
-			remote := cpu.Hypernode() != 0
-			if remote && !crossed {
-				crossed = true
-				parent.Delay(sim.Cycles(p.RemoteRuntimeInit))
-			}
-			spawn := p.ThreadSpawnLocal
-			if remote {
-				spawn = p.ThreadSpawnRemote
-			}
-			tid := tid
-			startAt := parent.Now() + sim.Cycles(spawn)
-			slow := saturated && tid == 0
-			launch := func() {
-				child := node.M.SpawnAt(startAt, fmt.Sprintf("t%d", tid), local, func(th *machine.Thread) {
-					th.Delay(sim.Cycles(p.ThreadStart))
-					body(th, tid)
-					if node == root {
-						done.V()
-					} else {
-						node.Part.Post(0, th.Now()+look, func() { done.V() })
-					}
-				})
-				if slow {
-					child.SetSlowdown(p.OSIntrusion)
-				}
-			}
-			if node == root {
-				launch()
-			} else {
-				root.Part.Post(cpu.Hypernode(), startAt, launch)
-			}
-			parent.Delay(sim.Cycles(spawn))
-		}
-		for i := 0; i < n; i++ {
-			done.P(parent.P)
-		}
-		parent.Delay(sim.Cycles(int64(n) * p.JoinPerThread))
+		threads.ForkJoinVia(c, c.Topo, parent, n, threads.HighLocality, body)
 		elapsed = parent.Now() - start
 	})
 	if err := c.Run(); err != nil {
@@ -163,3 +123,56 @@ func (c *Cluster) RunTeam(n int, body func(th *machine.Thread, tid int)) (sim.Cy
 	}
 	return elapsed, nil
 }
+
+// Launch implements threads.Dispatcher. A child on hypernode 0 spawns
+// on the root's kernel. A child elsewhere is posted to its node's
+// partition as a message stamped with its start time — legal because
+// the fork dispatches it a full ThreadSpawnRemote ahead, which far
+// exceeds the lookahead.
+func (c *Cluster) Launch(at sim.Cycles, name string, cpu topology.CPUID, fn func(th *machine.Thread)) {
+	node, local := c.NodeFor(cpu)
+	if cpu.Hypernode() == 0 {
+		node.M.SpawnAt(at, name, local, fn)
+		return
+	}
+	c.Nodes[0].Part.Post(cpu.Hypernode(), at, func() { node.M.SpawnAt(at, name, local, fn) })
+}
+
+// Join implements threads.Dispatcher. A child off hypernode 0 sends its
+// completion back one lookahead after it finishes: the minimum ring
+// crossing, and the exact window horizon, which exercises the half-open
+// boundary on every run.
+func (c *Cluster) Join(cpu topology.CPUID, join *sim.Semaphore) {
+	if cpu.Hypernode() == 0 {
+		join.V()
+		return
+	}
+	node := c.Nodes[cpu.Hypernode()]
+	node.Part.Post(0, node.M.Now()+sim.Cycles(c.p.InterNodeLookahead()), join.V)
+}
+
+// TeamBarrier implements threads.Engine: a ClusterBarrier counting each
+// node's participants from the team's high-locality placement, waited
+// on by team index.
+func (c *Cluster) TeamBarrier(n int) (threads.TeamBarrier, error) {
+	t := teamBarrier{nodeOf: make([]int, n)}
+	counts := make([]int, len(c.Nodes))
+	for tid := range t.nodeOf {
+		t.nodeOf[tid] = threads.CPUFor(c.Topo, threads.HighLocality, tid, n).Hypernode()
+		counts[t.nodeOf[tid]]++
+	}
+	var err error
+	if t.b, err = NewClusterBarrier(c, counts); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// teamBarrier routes each team member to its node's share of a
+// ClusterBarrier.
+type teamBarrier struct {
+	b      *ClusterBarrier
+	nodeOf []int // team index → hypernode
+}
+
+func (t teamBarrier) Wait(th *machine.Thread, tid int) { t.b.Wait(th, t.nodeOf[tid]) }

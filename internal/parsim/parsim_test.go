@@ -8,6 +8,7 @@ import (
 	"spp1000/internal/counters"
 	"spp1000/internal/machine"
 	"spp1000/internal/sim"
+	"spp1000/internal/threads"
 )
 
 // eventsProcessed sums the partitions' per-kernel event counts.
@@ -217,6 +218,48 @@ func TestClusterTeamDeterminism(t *testing.T) {
 			t.Fatalf("workers=%d: counters diverged from serial", w)
 		}
 	})
+}
+
+// TestClusterTeamCountsLikeForkJoin proves the cluster forks through
+// the threads runtime: a 32-thread team on 4 hypernodes reports the
+// same threads counters as monolithic ForkJoin on a 4-hypernode machine.
+func TestClusterTeamCountsLikeForkJoin(t *testing.T) {
+	const procs = 32
+	body := func(th *machine.Thread, tid int) { th.ComputeCycles(1000) }
+
+	m, err := machine.New(machine.Config{Hypernodes: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.EnableCounters()
+	if _, err := threads.RunTeam(m, procs, threads.HighLocality, body); err != nil {
+		t.Fatal(err)
+	}
+	mono := m.Counters.Snapshot()
+
+	cl, err := NewCluster(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range cl.Nodes {
+		n.M.EnableCounters()
+	}
+	if _, err := cl.RunTeam(procs, body); err != nil {
+		t.Fatal(err)
+	}
+	part := clusterCounters(cl)
+
+	for _, name := range []string{"forks", "joins", "spawn_local", "spawn_remote", "runtime_inits"} {
+		want := mono.Counter("threads", name)
+		if got := part.Counter("threads", name); got != want || want == 0 {
+			t.Errorf("threads.%s: cluster %d, ForkJoin %d (want equal and nonzero)", name, got, want)
+		}
+	}
+	want, ok := mono.Histogram("threads", "team_size")
+	got, _ := part.Histogram("threads", "team_size")
+	if !ok || got != want {
+		t.Errorf("threads.team_size: cluster %+v, ForkJoin %+v", got, want)
+	}
 }
 
 // TestClusterDeadlockDiagnosed proves a stuck partition surfaces the

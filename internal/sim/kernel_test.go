@@ -241,11 +241,11 @@ func TestEventBroadcast(t *testing.T) {
 			t.Fatalf("waiter released at %d, want 100", at)
 		}
 	}
-	if !ev.IsSet() {
+	if !ev.set {
 		t.Fatal("event should remain set")
 	}
 	ev.Reset()
-	if ev.IsSet() {
+	if ev.set {
 		t.Fatal("event should be clear after Reset")
 	}
 }

@@ -120,9 +120,6 @@ func (e *Event) Set() {
 	e.q.wakeAll(e.k, 0)
 }
 
-// IsSet reports whether the event is set.
-func (e *Event) IsSet() bool { return e.set }
-
 // Reset clears the event.
 func (e *Event) Reset() { e.set = false }
 

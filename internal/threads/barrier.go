@@ -52,16 +52,12 @@ func NewBarrier(m *machine.Machine, n, host int) *Barrier {
 
 // Wait blocks the thread until all n team members have arrived.
 func (b *Barrier) Wait(th *machine.Thread) {
-	p := th.M.P
+	wait := th.Synchronize(func() { b.wait(th) })
+	th.M.Trace.Record(th.P.Name(), trace.Sync, th.Now()-wait, th.Now())
+}
 
-	// CXpa accounting: everything spent here beyond compute and memory
-	// stall is synchronization wait.
-	t0, busy0, mem0 := th.Now(), th.Busy, th.MemStall
-	defer func() {
-		wait := (th.Now() - t0) - (th.Busy - busy0) - (th.MemStall - mem0)
-		th.SyncWait += wait
-		th.M.Trace.Record(th.P.Name(), trace.Sync, th.Now()-wait, th.Now())
-	}()
+func (b *Barrier) wait(th *machine.Thread) {
+	p := th.M.P
 
 	// Timestamp on entry (the paper's measurement point); the last
 	// arrival's timestamp survives the overwrites.
@@ -114,19 +110,22 @@ func (b *Barrier) Wait(th *machine.Thread) {
 			// it refetches as soon as the write completes.
 			at = rep.Done
 		}
-		release := at + sim.Cycles(p.SpinRefetch)
-		if release < supply {
-			release = supply
-		}
-		release += sim.Cycles(p.SpinReleaseSerial)
-		supply = release
+		supply = SpinRelease(p, at, supply)
 		w := w
-		th.M.K.At(release, func() { w.sem.V() })
+		th.M.K.At(supply, func() { w.sem.V() })
 	}
 
 	b.waiters = b.waiters[:0]
 	b.arrived = 0
 	b.exits = append(b.exits, th.Now())
+}
+
+// SpinRelease is the release instant of the next spinner a barrier
+// frees: it observes its copy invalidated at at and refetches the line,
+// and its re-supply serializes behind the previous spinner's, released
+// at prev.
+func SpinRelease(p topology.Params, at, prev sim.Cycles) sim.Cycles {
+	return max(at+sim.Cycles(p.SpinRefetch), prev) + sim.Cycles(p.SpinReleaseSerial)
 }
 
 // LastEpisode reports the Fig. 3 metrics of the most recent barrier

@@ -8,28 +8,49 @@ import (
 	"spp1000/internal/topology"
 )
 
+// Dispatcher is the engine half of fork/join: it starts each forked
+// child on the machine that owns the child's CPU and carries the
+// child's completion back to the parent. A monolithic machine spawns
+// and signals directly; parsim.Cluster posts both across partitions.
+type Dispatcher interface {
+	// Launch starts fn on global CPU cpu at virtual time at.
+	Launch(at sim.Cycles, name string, cpu topology.CPUID, fn func(th *machine.Thread))
+	// Join signals join, the parent's semaphore, from a child on global
+	// CPU cpu that has just finished.
+	Join(cpu topology.CPUID, join *sim.Semaphore)
+}
+
 // ForkJoin spawns a synchronous team of n threads from the parent thread
 // and blocks the parent until every child has terminated (CPSlib's
-// synchronous-thread model, paper §3.2). The parent dispatches children
+// synchronous-thread model, paper §3.2). It returns the child Thread
+// handles; their CXpa counters remain readable after the join.
+func ForkJoin(parent *machine.Thread, n int, place Placement, body func(th *machine.Thread, tid int)) []*machine.Thread {
+	return ForkJoinVia(monolithic{parent.M}, parent.M.Topo, parent, n, place, body)
+}
+
+// ForkJoinVia is ForkJoin with the children placed on topo, the whole
+// simulated machine, and started through d. It holds the runtime's
+// whole cost model, for every engine. The parent dispatches children
 // serially, paying the local or remote spawn cost per child plus a
 // one-time runtime-initialization penalty the first time a fork reaches
-// a second hypernode; it then reaps each child at join.
+// a second hypernode; each child pays a start cost before its body; the
+// parent then reaps each child at join. Each child is scheduled at the
+// instant its dispatch completes, before the parent advances there, so
+// a cross-partition launch is always posted a full spawn ahead.
 //
 // When the team saturates the whole machine, the OS has no spare CPU and
 // steals cycles from thread 0's processor (paper §6) — modeled as a
 // fractional Compute slowdown.
-// It returns the child Thread handles; their CXpa counters remain
-// readable after the join.
-func ForkJoin(parent *machine.Thread, n int, place Placement, body func(th *machine.Thread, tid int)) []*machine.Thread {
-	m := parent.M
+func ForkJoinVia(d Dispatcher, topo topology.Topology, parent *machine.Thread, n int, place Placement, body func(th *machine.Thread, tid int)) []*machine.Thread {
 	if n < 1 {
 		return nil
 	}
-	children := make([]*machine.Thread, 0, n)
+	m := parent.M
 	p := m.P
+	children := make([]*machine.Thread, n)
 	done := m.K.NewSemaphore("join", 0)
 	crossed := false
-	saturated := n >= m.Topo.NumCPUs()
+	saturated := n >= topo.NumCPUs()
 
 	// PMU accounting: the threads group counts runtime events
 	// machine-wide (nil-safe when counters are disabled).
@@ -38,30 +59,31 @@ func ForkJoin(parent *machine.Thread, n int, place Placement, body func(th *mach
 	g.Histogram("team_size").Observe(int64(n))
 
 	for tid := 0; tid < n; tid++ {
-		cpu := CPUFor(m.Topo, place, tid, n)
+		cpu := CPUFor(topo, place, tid, n)
 		remote := cpu.Hypernode() != parent.CPU.Hypernode()
 		if remote && !crossed {
 			crossed = true
 			parent.Delay(sim.Cycles(p.RemoteRuntimeInit))
 			g.Counter("runtime_inits").Inc()
 		}
+		spawn := sim.Cycles(p.ThreadSpawnLocal)
 		if remote {
-			parent.Delay(sim.Cycles(p.ThreadSpawnRemote))
+			spawn = sim.Cycles(p.ThreadSpawnRemote)
 			g.Counter("spawn_remote").Inc()
 		} else {
-			parent.Delay(sim.Cycles(p.ThreadSpawnLocal))
 			g.Counter("spawn_local").Inc()
 		}
 		tid := tid
-		child := m.SpawnAt(parent.Now(), fmt.Sprintf("t%d", tid), cpu, func(th *machine.Thread) {
+		d.Launch(parent.Now()+spawn, fmt.Sprintf("t%d", tid), cpu, func(th *machine.Thread) {
+			children[tid] = th
+			if saturated && tid == 0 {
+				th.SetSlowdown(p.OSIntrusion)
+			}
 			th.Delay(sim.Cycles(p.ThreadStart))
 			body(th, tid)
-			done.V()
+			d.Join(cpu, done)
 		})
-		if saturated && tid == 0 {
-			child.SetSlowdown(p.OSIntrusion)
-		}
-		children = append(children, child)
+		parent.Delay(spawn)
 	}
 	// Join: wait for all children, then reap them.
 	for i := 0; i < n; i++ {

@@ -42,15 +42,3 @@ func CPUFor(topo topology.Topology, p Placement, tid, n int) topology.CPUID {
 		return topology.CPUID(id)
 	}
 }
-
-// HypernodesUsed reports how many distinct hypernodes an n-thread team
-// occupies under the policy.
-//
-//simlint:allow deadexport deferred sweep: test-only; deleting it also deletes its dedicated test (queued on ROADMAP)
-func HypernodesUsed(topo topology.Topology, p Placement, n int) int {
-	seen := map[int]bool{}
-	for tid := 0; tid < n; tid++ {
-		seen[CPUFor(topo, p, tid, n).Hypernode()] = true
-	}
-	return len(seen)
-}

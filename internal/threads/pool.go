@@ -74,11 +74,11 @@ func (p *Pool) Region(caller *machine.Thread, body func(th *machine.Thread, tid 
 		caller.ComputeCycles(WakeupCycles)
 		p.work[tid].Put(poolJob{body: body})
 	}
-	t0, busy0, mem0 := caller.Now(), caller.Busy, caller.MemStall
-	for range p.workers {
-		p.done.P(caller.P)
-	}
-	caller.SyncWait += (caller.Now() - t0) - (caller.Busy - busy0) - (caller.MemStall - mem0)
+	caller.Synchronize(func() {
+		for range p.workers {
+			p.done.P(caller.P)
+		}
+	})
 }
 
 // Close shuts the workers down; the pool cannot be reused.

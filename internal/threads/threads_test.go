@@ -49,19 +49,6 @@ func TestCPUForUniform(t *testing.T) {
 	}
 }
 
-func TestHypernodesUsed(t *testing.T) {
-	topo, _ := topology.New(2)
-	if got := HypernodesUsed(topo, HighLocality, 8); got != 1 {
-		t.Fatalf("8 high-locality threads use %d hypernodes, want 1", got)
-	}
-	if got := HypernodesUsed(topo, HighLocality, 9); got != 2 {
-		t.Fatalf("9 high-locality threads use %d hypernodes, want 2", got)
-	}
-	if got := HypernodesUsed(topo, Uniform, 2); got != 2 {
-		t.Fatalf("2 uniform threads use %d hypernodes, want 2", got)
-	}
-}
-
 func TestForkJoinRunsAllBodies(t *testing.T) {
 	m := twoNode(t)
 	ran := make([]bool, 12)
@@ -245,57 +232,6 @@ func TestGateMutualExclusion(t *testing.T) {
 	}
 	if total != 32 {
 		t.Fatalf("critical sections run = %d, want 32", total)
-	}
-}
-
-func TestAsyncThreadsOverlapParent(t *testing.T) {
-	m := twoNode(t)
-	var childEnd, parentMark sim.Cycles
-	m.Spawn("parent", topology.MakeCPU(0, 0, 0), func(parent *machine.Thread) {
-		a := SpawnAsync(parent, topology.MakeCPU(0, 1, 0), "child", func(th *machine.Thread) {
-			th.ComputeCycles(100_000)
-			childEnd = th.Now()
-		})
-		// Parent continues immediately (asynchronous semantics).
-		parent.ComputeCycles(1_000)
-		parentMark = parent.Now()
-		if a.Done() {
-			t.Error("child should still be running")
-		}
-		a.Join(parent)
-		if !a.Done() {
-			t.Error("child should be done after Join")
-		}
-		if parent.Now() < childEnd {
-			t.Error("join returned before the child finished")
-		}
-	})
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if parentMark >= childEnd {
-		t.Fatalf("parent (%v) should have continued while the child ran (until %v)", parentMark, childEnd)
-	}
-}
-
-func TestAsyncRemoteSpawnCostsMore(t *testing.T) {
-	m := twoNode(t)
-	var localCost, remoteCost sim.Cycles
-	m.Spawn("parent", topology.MakeCPU(0, 0, 0), func(parent *machine.Thread) {
-		t0 := parent.Now()
-		a := SpawnAsync(parent, topology.MakeCPU(0, 1, 0), "l", func(th *machine.Thread) {})
-		localCost = parent.Now() - t0
-		t0 = parent.Now()
-		b := SpawnAsync(parent, topology.MakeCPU(1, 0, 0), "r", func(th *machine.Thread) {})
-		remoteCost = parent.Now() - t0
-		a.Join(parent)
-		b.Join(parent)
-	})
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if remoteCost <= localCost {
-		t.Fatalf("remote spawn (%v) should cost more than local (%v)", remoteCost, localCost)
 	}
 }
 

@@ -46,6 +46,15 @@ func MakeCPU(hn, fu, local int) CPUID {
 	return CPUID(hn*CPUsPerNode + fu*CPUsPerFU + local)
 }
 
+// HypernodesFor reports how many hypernodes a high-locality team of n
+// threads spans: n/CPUsPerNode rounded up, and at least one.
+func HypernodesFor(n int) int {
+	if n <= CPUsPerNode {
+		return 1
+	}
+	return (n + CPUsPerNode - 1) / CPUsPerNode
+}
+
 // Topology is a concrete machine configuration.
 type Topology struct {
 	Hypernodes int // 1..16
