@@ -3,7 +3,7 @@
 GO ?= go
 
 # PR-numbered performance artifacts (bump per PR to track the trajectory).
-BENCH_JSON ?= BENCH_12.json
+BENCH_JSON ?= BENCH_15.json
 LOAD_JSON ?= LOAD_8.json
 
 .PHONY: all verify build test race bench loadcheck vet doc lint lint-annotations cover faultmatrix checkpoint pdes cluster reproduce quick serve servegw examples clean
@@ -57,7 +57,7 @@ race:
 # microbenchmarks in internal/sim. The parsed ns/op + allocs/op land in
 # $(BENCH_JSON) so the perf trajectory is tracked across PRs.
 bench:
-	$(GO) test -bench=. -benchmem -run=NONE . ./internal/sim ./internal/counters ./internal/memsys | tee bench.txt
+	$(GO) test -bench=. -benchmem -run=NONE . ./internal/sim ./internal/counters ./internal/memsys ./internal/machine | tee bench.txt
 	$(GO) run ./cmd/benchjson < bench.txt > $(BENCH_JSON)
 	@echo "wrote $(BENCH_JSON)"
 

@@ -1,7 +1,10 @@
 // Package cache models the external direct-mapped data cache of one
 // HP PA-RISC 7100: 1 MB, 32-byte lines (paper §2.2). Only presence and
 // dirtiness are tracked — data values live in the application, which is
-// what makes whole-program simulation tractable.
+// what makes whole-program simulation tractable. Slots are allocated a
+// page at a time when a line of the page is first filled, so a cache
+// costs memory in proportion to the lines a run touches, not to its
+// capacity.
 package cache
 
 import (
@@ -9,11 +12,20 @@ import (
 	"spp1000/internal/topology"
 )
 
-// state of one cache slot.
+// pageSlots is the number of slots allocated together on first fill.
+const pageSlots = 512
+
+// state of one cache slot: the key's fields laid out to pack into 16
+// bytes.
 type slot struct {
+	line  uint64
+	space topology.Space
 	valid bool
 	dirty bool
-	key   topology.LineKey
+}
+
+func (s *slot) holds(key topology.LineKey) bool {
+	return s.valid && s.line == key.Line && s.space == key.Space
 }
 
 // Stats counts cache events for the CXpa-style instrumentation.
@@ -38,7 +50,10 @@ type hooks struct {
 
 // Cache is one processor's data cache.
 type Cache struct {
-	slots []slot
+	// pages[i] holds slots [i*pageSlots, (i+1)*pageSlots); nil until a
+	// line of it is first filled.
+	pages [][]slot
+	lines uint64
 	Stats Stats
 	ctr   hooks
 }
@@ -59,7 +74,7 @@ func (c *Cache) AttachCounters(g *counters.Group) {
 
 // New returns an empty cache with the architectural geometry.
 func New() *Cache {
-	return &Cache{slots: make([]slot, topology.CacheLines)}
+	return NewWithLines(topology.CacheLines)
 }
 
 // NewWithLines returns an empty cache with a custom number of line slots
@@ -68,13 +83,30 @@ func NewWithLines(lines int) *Cache {
 	if lines <= 0 {
 		lines = 1
 	}
-	return &Cache{slots: make([]slot, lines)}
+	return &Cache{
+		pages: make([][]slot, (lines+pageSlots-1)/pageSlots),
+		lines: uint64(lines),
+	}
 }
 
-func (c *Cache) index(key topology.LineKey) int {
+func (c *Cache) index(key topology.LineKey) uint64 {
 	// Direct mapping: line index modulo the slot count. Distinct spaces
 	// are offset so that two objects do not systematically collide.
-	return int((key.Line + uint64(key.Space)*7919) % uint64(len(c.slots)))
+	return (key.Line + uint64(key.Space)*7919) % c.lines
+}
+
+// lookup returns the slot holding key, or nil when the line is absent.
+// It never allocates: a page not yet filled holds nothing.
+func (c *Cache) lookup(key topology.LineKey) *slot {
+	i := c.index(key)
+	page := c.pages[i/pageSlots]
+	if page == nil {
+		return nil
+	}
+	if s := &page[i%pageSlots]; s.holds(key) {
+		return s
+	}
+	return nil
 }
 
 // Result describes the outcome of a lookup.
@@ -89,8 +121,14 @@ type Result struct {
 
 // Access touches the line, filling it on a miss. write marks it dirty.
 func (c *Cache) Access(key topology.LineKey, write bool) Result {
-	s := &c.slots[c.index(key)]
-	if s.valid && s.key == key {
+	i := c.index(key)
+	page := c.pages[i/pageSlots]
+	if page == nil {
+		page = make([]slot, min(pageSlots, c.lines))
+		c.pages[i/pageSlots] = page
+	}
+	s := &page[i%pageSlots]
+	if s.holds(key) {
 		c.Stats.Hits++
 		c.ctr.hits.Inc()
 		if write {
@@ -105,60 +143,45 @@ func (c *Cache) Access(key topology.LineKey, write bool) Result {
 		c.Stats.Evictions++
 		c.ctr.evictions.Inc()
 		res.HadEviction = true
-		res.Evicted = s.key
+		res.Evicted = topology.LineKey{Space: s.space, Line: s.line}
 		if s.dirty {
 			c.Stats.Writebacks++
 			c.ctr.writebacks.Inc()
 			res.WritebackNeeded = true
 		}
 	}
-	s.valid = true
-	s.dirty = write
-	s.key = key
+	*s = slot{line: key.Line, space: key.Space, valid: true, dirty: write}
 	return res
 }
 
 // Contains reports whether the line is currently cached.
 func (c *Cache) Contains(key topology.LineKey) bool {
-	s := &c.slots[c.index(key)]
-	return s.valid && s.key == key
+	return c.lookup(key) != nil
 }
 
 // Dirty reports whether the line is cached dirty.
 func (c *Cache) Dirty(key topology.LineKey) bool {
-	s := &c.slots[c.index(key)]
-	return s.valid && s.key == key && s.dirty
+	s := c.lookup(key)
+	return s != nil && s.dirty
 }
 
 // Invalidate drops the line (a coherence action from the directory).
 // It reports whether a copy was present and whether it was dirty.
 func (c *Cache) Invalidate(key topology.LineKey) (present, dirty bool) {
-	s := &c.slots[c.index(key)]
-	if s.valid && s.key == key {
-		c.Stats.Invalidations++
-		c.ctr.invalidations.Inc()
-		present, dirty = true, s.dirty
-		s.valid = false
-		s.dirty = false
+	s := c.lookup(key)
+	if s == nil {
+		return false, false
 	}
-	return present, dirty
+	c.Stats.Invalidations++
+	c.ctr.invalidations.Inc()
+	dirty = s.dirty
+	*s = slot{}
+	return true, dirty
 }
 
 // Clean marks a cached line clean (after a writeback / downgrade).
 func (c *Cache) Clean(key topology.LineKey) {
-	s := &c.slots[c.index(key)]
-	if s.valid && s.key == key {
+	if s := c.lookup(key); s != nil {
 		s.dirty = false
-	}
-}
-
-// Flush empties the cache, counting writebacks of dirty lines.
-func (c *Cache) Flush() {
-	for i := range c.slots {
-		if c.slots[i].valid && c.slots[i].dirty {
-			c.Stats.Writebacks++
-			c.ctr.writebacks.Inc()
-		}
-		c.slots[i] = slot{}
 	}
 }

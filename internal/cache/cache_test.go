@@ -1,8 +1,10 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"spp1000/internal/topology"
 )
@@ -81,20 +83,6 @@ func TestInvalidate(t *testing.T) {
 	}
 }
 
-func TestFlushCountsDirtyWritebacks(t *testing.T) {
-	c := NewWithLines(16)
-	c.Access(key(1, 0), true)
-	c.Access(key(1, 1), false)
-	c.Access(key(1, 2), true)
-	c.Flush()
-	if c.Stats.Writebacks != 2 {
-		t.Fatalf("flush wrote back %d lines, want 2", c.Stats.Writebacks)
-	}
-	if c.Contains(key(1, 1)) {
-		t.Fatal("flush should empty the cache")
-	}
-}
-
 func TestGeometry(t *testing.T) {
 	c := New()
 	if c.Lines() != topology.CacheLines {
@@ -102,6 +90,9 @@ func TestGeometry(t *testing.T) {
 	}
 	if topology.CacheLines != 32768 {
 		t.Fatalf("1 MB / 32 B = 32768 lines, constant says %d", topology.CacheLines)
+	}
+	if n := unsafe.Sizeof(slot{}); n != 16 {
+		t.Fatalf("slot is %d bytes, want 16", n)
 	}
 	if NewWithLines(0).Lines() != 1 {
 		t.Fatal("degenerate geometry should clamp to one line")
@@ -150,4 +141,127 @@ func TestStatsBalanceProperty(t *testing.T) {
 }
 
 // Lines reports the slot count.
-func (c *Cache) Lines() int { return len(c.slots) }
+func (c *Cache) Lines() int { return int(c.lines) }
+
+// model is the reference cache: one flat, eagerly allocated slot array
+// with the same direct-mapped index formula and the same Stats rules.
+type model struct {
+	slots []slot
+	stats Stats
+}
+
+func (m *model) at(k topology.LineKey) *slot {
+	return &m.slots[(k.Line+uint64(k.Space)*7919)%uint64(len(m.slots))]
+}
+
+// has reports whether the model holds k (and which slot it would use).
+func (m *model) has(k topology.LineKey) (*slot, bool) {
+	s := m.at(k)
+	return s, s.valid && s.line == k.Line && s.space == k.Space
+}
+
+func (m *model) access(k topology.LineKey, write bool) Result {
+	s, ok := m.has(k)
+	if ok {
+		m.stats.Hits++
+		s.dirty = s.dirty || write
+		return Result{Hit: true}
+	}
+	m.stats.Misses++
+	var res Result
+	if s.valid {
+		m.stats.Evictions++
+		res.HadEviction = true
+		res.Evicted = topology.LineKey{Space: s.space, Line: s.line}
+		if s.dirty {
+			m.stats.Writebacks++
+			res.WritebackNeeded = true
+		}
+	}
+	*s = slot{line: k.Line, space: k.Space, valid: true, dirty: write}
+	return res
+}
+
+func (m *model) invalidate(k topology.LineKey) (present, dirty bool) {
+	s, ok := m.has(k)
+	if !ok {
+		return false, false
+	}
+	m.stats.Invalidations++
+	present, dirty = true, s.dirty
+	*s = slot{}
+	return present, dirty
+}
+
+// Property: on random Access/Contains/Dirty/Invalidate/Clean sequences,
+// the paged cache returns exactly what the flat reference model does,
+// for geometries below, at, and across page boundaries.
+func TestMatchesFlatModel(t *testing.T) {
+	for _, lines := range []int{1, 7, 511, 512, 513, 4096, 32768} {
+		rng := rand.New(rand.NewSource(int64(lines)))
+		c, m := NewWithLines(lines), &model{slots: make([]slot, lines)}
+		// Draw keys from a window a few times the capacity so that hits,
+		// conflict evictions and untouched pages all occur.
+		span := uint64(3*lines + 5)
+		for op := 0; op < 20000; op++ {
+			k := key(uint32(rng.Intn(3)), rng.Uint64()%span)
+			switch rng.Intn(5) {
+			case 0:
+				write := rng.Intn(2) == 0
+				if got, want := c.Access(k, write), m.access(k, write); got != want {
+					t.Fatalf("lines=%d op %d Access(%v,%v) = %+v, model %+v", lines, op, k, write, got, want)
+				}
+			case 1:
+				_, want := m.has(k)
+				if got := c.Contains(k); got != want {
+					t.Fatalf("lines=%d op %d Contains(%v) = %v, model %v", lines, op, k, got, want)
+				}
+			case 2:
+				s, ok := m.has(k)
+				if got, want := c.Dirty(k), ok && s.dirty; got != want {
+					t.Fatalf("lines=%d op %d Dirty(%v) = %v, model %v", lines, op, k, got, want)
+				}
+			case 3:
+				gp, gd := c.Invalidate(k)
+				if wp, wd := m.invalidate(k); gp != wp || gd != wd {
+					t.Fatalf("lines=%d op %d Invalidate(%v) = (%v,%v), model (%v,%v)", lines, op, k, gp, gd, wp, wd)
+				}
+			case 4:
+				c.Clean(k)
+				if s, ok := m.has(k); ok {
+					s.dirty = false
+				}
+			}
+		}
+		if c.Stats != m.stats {
+			t.Fatalf("lines=%d stats %+v, model %+v", lines, c.Stats, m.stats)
+		}
+	}
+}
+
+// The read-only and coherence paths never allocate a page, and a hit
+// allocates nothing.
+func TestLookupsDoNotAllocate(t *testing.T) {
+	c := New()
+	untouched := key(1, 12345)
+	for name, fn := range map[string]func(){
+		"Contains":   func() { c.Contains(untouched) },
+		"Dirty":      func() { c.Dirty(untouched) },
+		"Invalidate": func() { c.Invalidate(untouched) },
+		"Clean":      func() { c.Clean(untouched) },
+	} {
+		if n := testing.AllocsPerRun(100, fn); n != 0 {
+			t.Errorf("%s on an untouched line: %v allocs/op, want 0", name, n)
+		}
+	}
+	for i, p := range c.pages {
+		if p != nil {
+			t.Fatalf("page %d allocated by a read-only call", i)
+		}
+	}
+	hit := key(1, 10)
+	c.Access(hit, false)
+	if n := testing.AllocsPerRun(100, func() { c.Access(hit, true) }); n != 0 {
+		t.Errorf("Access hit: %v allocs/op, want 0", n)
+	}
+}

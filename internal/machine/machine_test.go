@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -172,6 +174,33 @@ func TestDeterministicReplay(t *testing.T) {
 		if again := run(); again != first {
 			t.Fatalf("non-deterministic: %v vs %v", first, again)
 		}
+	}
+}
+
+// A 128-CPU machine must not pay for cache capacity it has not
+// touched: its 128 architectural caches hold 64 MB of slots when full.
+func TestNewAllocatesLittle(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m := MustNew(Config{Hypernodes: 16})
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(m)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 2<<20 {
+		t.Fatalf("machine.New(hn16) allocated %.2f MB, want < 2 MB", float64(got)/(1<<20))
+	}
+}
+
+// built keeps BenchmarkNew's result live so the build is not elided.
+var built *Machine
+
+func BenchmarkNew(b *testing.B) {
+	for _, hn := range []int{1, 16} {
+		b.Run(fmt.Sprintf("hn%d", hn), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				built = MustNew(Config{Hypernodes: hn})
+			}
+		})
 	}
 }
 
