@@ -20,8 +20,8 @@ var wallClockFuncs = map[string]bool{
 // stream is the only sanctioned randomness), iteration over maps (Go
 // randomizes the order, so ranges that feed simulator state or output
 // must sort first or justify themselves), and goroutine spawns (host
-// concurrency belongs in internal/runner; the kernel's baton-passing
-// Procs are annotated at their two spawn sites). In pdes packages —
+// concurrency belongs in internal/runner; the kernel's Procs are
+// iter.Pull coroutines and need no exception). In pdes packages —
 // the coordinator layer whose whole purpose is running kernels on
 // goroutines — the goroutine ban is lifted, but the wall-clock,
 // math/rand, and map-iteration checks bind unchanged: the coordinator's

@@ -116,10 +116,7 @@ type Thread struct {
 
 // Spawn starts fn as a simulated thread on the given CPU.
 func (m *Machine) Spawn(name string, cpu topology.CPUID, fn func(th *Thread)) *Thread {
-	th := &Thread{M: m}
-	th.CPU = cpu
-	th.P = m.K.Spawn(name, func(p *sim.Proc) { fn(th) })
-	return th
+	return m.SpawnAt(m.K.Now(), name, cpu, fn)
 }
 
 // SpawnAt is Spawn starting at absolute virtual time t.

@@ -34,43 +34,6 @@ type Chunk struct {
 	GlobalHops int
 }
 
-// Add accumulates another chunk into c.
-//
-//simlint:allow deadexport deferred sweep: test-only; deleting it also deletes its dedicated test (queued on ROADMAP)
-func (c *Chunk) Add(o Chunk) {
-	c.Flops += o.Flops
-	c.Divides += o.Divides
-	c.IntOps += o.IntOps
-	c.CacheHits += o.CacheHits
-	c.LocalMisses += o.LocalMisses
-	c.HypernodeMisses += o.HypernodeMisses
-	c.GlobalMisses += o.GlobalMisses
-	if o.GlobalHops > c.GlobalHops {
-		c.GlobalHops = o.GlobalHops
-	}
-}
-
-// Scale returns the chunk divided evenly by n (work split across n
-// threads).
-//
-//simlint:allow deadexport deferred sweep: test-only; deleting it also deletes its dedicated test (queued on ROADMAP)
-func (c Chunk) Scale(n int) Chunk {
-	if n <= 1 {
-		return c
-	}
-	d := int64(n)
-	return Chunk{
-		Flops:           c.Flops / d,
-		Divides:         c.Divides / d,
-		IntOps:          c.IntOps / d,
-		CacheHits:       c.CacheHits / d,
-		LocalMisses:     c.LocalMisses / d,
-		HypernodeMisses: c.HypernodeMisses / d,
-		GlobalMisses:    c.GlobalMisses / d,
-		GlobalHops:      c.GlobalHops,
-	}
-}
-
 // DivideCycles is the PA-7100 floating divide latency.
 const DivideCycles = 8
 
@@ -95,19 +58,6 @@ func Cycles(p topology.Params, c Chunk) int64 {
 		c.GlobalMisses*p.GlobalMissCycles(hops)
 }
 
-// StreamMissFraction is the per-access miss fraction of a sequential
-// sweep with the given access stride: one miss per cache line touched.
-func StreamMissFraction(strideBytes int) float64 {
-	if strideBytes <= 0 {
-		strideBytes = 8
-	}
-	f := float64(strideBytes) / float64(topology.CacheLineBytes)
-	if f > 1 {
-		f = 1
-	}
-	return f
-}
-
 // CapacityMissFraction is the fraction of re-accesses that miss when a
 // working set of wsBytes is reused through a cache of cacheBytes: zero
 // when it fits, approaching one as the set grows (the classic
@@ -118,30 +68,4 @@ func CapacityMissFraction(wsBytes, cacheBytes int64) float64 {
 		return 0
 	}
 	return 1 - float64(cacheBytes)/float64(wsBytes)
-}
-
-// SweepMissFraction combines the two: a repeated sequential sweep over a
-// working set misses at the stream rate on the non-resident fraction.
-//
-//simlint:allow deadexport deferred sweep: test-only; deleting it also deletes its dedicated test (queued on ROADMAP)
-func SweepMissFraction(strideBytes int, wsBytes, cacheBytes int64) float64 {
-	cap := CapacityMissFraction(wsBytes, cacheBytes)
-	if cap == 0 {
-		return 0
-	}
-	return StreamMissFraction(strideBytes) * cap
-}
-
-// SplitMisses distributes misses of a shared structure across service
-// levels given the machine layout: with h hypernodes holding the data
-// uniformly (far-shared), a miss is hypernode-local with probability
-// 1/h. Returns (hypernodeMisses, globalMisses).
-//
-//simlint:allow deadexport deferred sweep: test-only; deleting it also deletes its dedicated test (queued on ROADMAP)
-func SplitMisses(misses int64, hypernodes int) (hn, global int64) {
-	if hypernodes <= 1 {
-		return misses, 0
-	}
-	hn = misses / int64(hypernodes)
-	return hn, misses - hn
 }

@@ -60,37 +60,6 @@ func TestGlobalHopsDefault(t *testing.T) {
 	}
 }
 
-func TestAddAndScale(t *testing.T) {
-	var c Chunk
-	c.Add(Chunk{Flops: 100, CacheHits: 60, GlobalHops: 2})
-	c.Add(Chunk{Flops: 50, LocalMisses: 5})
-	if c.Flops != 150 || c.CacheHits != 60 || c.LocalMisses != 5 || c.GlobalHops != 2 {
-		t.Fatalf("accumulated chunk = %+v", c)
-	}
-	s := c.Scale(2)
-	if s.Flops != 75 || s.GlobalHops != 2 {
-		t.Fatalf("scaled chunk = %+v", s)
-	}
-	if c.Scale(1) != c || c.Scale(0) != c {
-		t.Fatal("degenerate scales should be identity")
-	}
-}
-
-func TestStreamMissFraction(t *testing.T) {
-	if f := StreamMissFraction(8); f != 0.25 {
-		t.Fatalf("8-byte stride = %v, want 0.25", f)
-	}
-	if f := StreamMissFraction(32); f != 1 {
-		t.Fatalf("line stride = %v, want 1", f)
-	}
-	if f := StreamMissFraction(64); f != 1 {
-		t.Fatalf("super-line stride = %v, want capped at 1", f)
-	}
-	if f := StreamMissFraction(0); f != 0.25 {
-		t.Fatalf("defaulted stride = %v, want 0.25", f)
-	}
-}
-
 func TestCapacityMissFraction(t *testing.T) {
 	if f := CapacityMissFraction(1<<19, 1<<20); f != 0 {
 		t.Fatalf("resident set miss fraction = %v, want 0", f)
@@ -101,31 +70,6 @@ func TestCapacityMissFraction(t *testing.T) {
 	}
 	if CapacityMissFraction(100, 0) != 0 {
 		t.Fatal("zero cache should yield 0 (treated as disabled)")
-	}
-}
-
-func TestSweepMissFraction(t *testing.T) {
-	if f := SweepMissFraction(8, 1<<19, 1<<20); f != 0 {
-		t.Fatal("fitting sweep should not miss")
-	}
-	f := SweepMissFraction(8, 4<<20, 1<<20)
-	if f <= 0 || f > 0.25 {
-		t.Fatalf("sweep miss fraction = %v", f)
-	}
-}
-
-func TestSplitMisses(t *testing.T) {
-	hn, gl := SplitMisses(100, 1)
-	if hn != 100 || gl != 0 {
-		t.Fatalf("single hypernode split = %d,%d", hn, gl)
-	}
-	hn, gl = SplitMisses(100, 2)
-	if hn != 50 || gl != 50 {
-		t.Fatalf("two-hypernode split = %d,%d", hn, gl)
-	}
-	hn, gl = SplitMisses(100, 4)
-	if hn != 25 || gl != 75 {
-		t.Fatalf("four-hypernode split = %d,%d", hn, gl)
 	}
 }
 

@@ -45,10 +45,10 @@ func BenchmarkKernelEventThroughputDeep(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelDelayPingPong measures the full Proc baton round trip:
-// one Delay per iteration — schedule the timed wake-up, park (hand the
-// baton to the kernel), dispatch, resume. This is the hot path of every
-// simulated thread.
+// BenchmarkKernelDelayPingPong measures the full Proc round trip: one
+// Delay per iteration — schedule the timed wake-up, park (yield the
+// coroutine to the kernel), dispatch, resume. This is the hot path of
+// every simulated thread.
 func BenchmarkKernelDelayPingPong(b *testing.B) {
 	b.ReportAllocs()
 	k := NewKernel()

@@ -34,8 +34,8 @@ func TotalEvents() int64 { return totalEvents.Load() }
 //
 // The common case by far is a pure timed wake-up of a parked Proc
 // (Delay, synchronization releases). Those carry the Proc directly in
-// proc and leave fn nil: the kernel hands the baton straight to the
-// goroutine with no closure allocated and no intermediate call.
+// proc and leave fn nil: the kernel resumes the Proc's coroutine directly
+// with no closure allocated and no intermediate call.
 type event struct {
 	at   Cycles
 	seq  int64
@@ -110,29 +110,25 @@ func (h eventHeap) down(i int) {
 }
 
 // Kernel is a discrete-event simulator: a virtual clock plus an ordered
-// event queue. It owns a set of Procs (simulated threads); exactly one
-// goroutine — the kernel's or one Proc's — executes at any moment.
+// event queue. It owns a set of Procs (simulated threads), each a
+// coroutine; exactly one of the kernel and its Procs executes at any
+// moment.
 type Kernel struct {
 	now    Cycles
 	seq    int64
 	events eventHeap
 
-	// handshake with the currently-running Proc
-	yield chan struct{} // Proc -> Kernel: I have parked (or exited)
-
-	live    int // Procs spawned and not yet finished
-	blocked int // Procs parked on a waiter queue (not a timed event)
+	live int // Procs spawned and not yet finished
 
 	eventsDone int64 // events executed by this kernel
 
 	accounted       Cycles // cycles already folded into totalCycles
 	eventsAccounted int64  // events already folded into totalEvents
-
 }
 
 // NewKernel returns an empty simulation at time zero.
 func NewKernel() *Kernel {
-	return &Kernel{yield: make(chan struct{})}
+	return &Kernel{}
 }
 
 // Now reports the current virtual time.
@@ -255,11 +251,11 @@ func (k *Kernel) account() {
 	}
 }
 
-// resumeProc transfers control to p until it parks or exits.
-// Must only be called from the kernel goroutine (inside an event).
+// resumeProc transfers control to p until it parks or exits. A panic
+// in p's body surfaces here, in the caller of Run/RunUntil. Must only
+// be called from the kernel loop (inside an event).
 //
 //simlint:hotpath
 func (k *Kernel) resumeProc(p *Proc) {
-	p.resume <- struct{}{}
-	<-k.yield
+	p.next()
 }

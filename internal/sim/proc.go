@@ -1,48 +1,38 @@
+//go:build go1.23
+
 package sim
 
-// Proc is a simulated thread of control: a goroutine that runs only when
-// the kernel hands it the baton, and parks whenever it waits on virtual
-// time or a synchronization object. Proc methods must only be called from
-// the Proc's own goroutine (inside the body passed to Spawn).
+import "iter"
+
+// Proc is a simulated thread of control: a coroutine (iter.Pull) that
+// runs only when the kernel resumes it, and parks whenever it waits on
+// virtual time or a synchronization object. Proc methods must only be
+// called from inside the body passed to Spawn.
 type Proc struct {
-	k      *Kernel
-	name   string
-	resume chan struct{}
-	state  string // for deadlock diagnostics: "running", "sleeping", or the waiter description
+	k     *Kernel
+	name  string
+	next  func() (struct{}, bool) // kernel -> Proc: run until the next park or exit
+	yield func(struct{}) bool     // Proc -> kernel: I have parked
 }
 
 // Spawn creates a Proc named name that will begin executing body at
 // virtual time "now". The body runs in simulated time: it only advances
 // the clock through Delay / synchronization waits.
 func (k *Kernel) Spawn(name string, body func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, resume: make(chan struct{}), state: "new"}
-	k.live++
-	//simlint:allow determinism Proc goroutines ARE the kernel's determinism mechanism: the baton handshake runs exactly one at a time
-	go func() {
-		<-p.resume // wait for the start event
-		p.state = "running"
-		body(p)
-		p.state = "done"
-		k.live--
-		k.yield <- struct{}{} // return the baton for good
-	}()
-	k.atProc(k.now, p)
-	return p
+	return k.SpawnAt(k.now, name, body)
 }
 
 // SpawnAt is Spawn but the body begins at absolute time t.
 func (k *Kernel) SpawnAt(t Cycles, name string, body func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, resume: make(chan struct{}), state: "new"}
-	k.live++
-	//simlint:allow determinism Proc goroutines ARE the kernel's determinism mechanism: the baton handshake runs exactly one at a time
-	go func() {
-		<-p.resume
-		p.state = "running"
+	p := &Proc{k: k, name: name}
+	// No stop: a body that returns ends its coroutine, and a Proc left
+	// parked by a deadlock is never resumed.
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		body(p)
-		p.state = "done"
 		k.live--
-		k.yield <- struct{}{}
-	}()
+	})
+	k.live++
 	k.atProc(t, p)
 	return p
 }
@@ -54,12 +44,9 @@ func (p *Proc) Name() string { return p.name }
 func (p *Proc) Now() Cycles { return p.k.now }
 
 // park suspends the Proc until something calls unpark (via a scheduled
-// event). The baton returns to the kernel.
-func (p *Proc) park(why string) {
-	p.state = why
-	p.k.yield <- struct{}{}
-	<-p.resume
-	p.state = "running"
+// event). Control returns to the kernel.
+func (p *Proc) park() {
+	p.yield(struct{}{})
 }
 
 // unparkAt schedules the Proc to resume at absolute time t, on the
@@ -80,5 +67,5 @@ func (p *Proc) Delay(d Cycles) {
 		d = 0
 	}
 	p.unparkAt(p.k.now + d)
-	p.park("sleeping")
+	p.park()
 }

@@ -1,20 +1,18 @@
 package sim
 
-// Synchronization objects in virtual time. A Proc that waits parks its
-// goroutine; a signaller schedules the waiter's resumption as an event at
-// the current instant (plus any modeled latency added by the caller).
+// Synchronization objects in virtual time. A Proc that waits parks; a
+// signaller schedules the waiter's resumption as an event at the current
+// instant (plus any modeled latency added by the caller). Object names
+// label the model for its reader; the kernel keeps none.
 
 // waitq is a FIFO of parked Procs.
 type waitq struct {
-	name    string
 	waiters []*Proc
 }
 
 func (q *waitq) wait(p *Proc) {
 	q.waiters = append(q.waiters, p)
-	p.k.blocked++
-	p.park("waiting:" + q.name)
-	p.k.blocked--
+	p.park()
 }
 
 // wakeOne schedules the oldest waiter to resume at now+d.
@@ -48,7 +46,7 @@ type Semaphore struct {
 
 // NewSemaphore returns a semaphore with initial count n.
 func (k *Kernel) NewSemaphore(name string, n int) *Semaphore {
-	return &Semaphore{k: k, n: n, q: waitq{name: name}}
+	return &Semaphore{k: k, n: n}
 }
 
 // P decrements the semaphore, parking the Proc while the count is zero.
@@ -75,7 +73,7 @@ type Mutex struct {
 
 // NewMutex returns an unlocked mutex.
 func (k *Kernel) NewMutex(name string) *Mutex {
-	return &Mutex{k: k, q: waitq{name: name}}
+	return &Mutex{k: k}
 }
 
 // Lock acquires the mutex, parking while it is held by another Proc.
@@ -104,7 +102,7 @@ type Event struct {
 
 // NewEvent returns an unset event.
 func (k *Kernel) NewEvent(name string) *Event {
-	return &Event{k: k, q: waitq{name: name}}
+	return &Event{k: k}
 }
 
 // Wait parks until the event is set.
@@ -133,7 +131,7 @@ type Queue struct {
 
 // NewQueue returns an empty queue.
 func (k *Kernel) NewQueue(name string) *Queue {
-	return &Queue{k: k, q: waitq{name: name}}
+	return &Queue{k: k}
 }
 
 // Put appends v and wakes one receiver.

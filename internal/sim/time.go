@@ -2,7 +2,7 @@
 //
 // The kernel advances a virtual clock measured in CPU cycles of the
 // simulated 100 MHz machine (one cycle = 10 ns). Simulated threads of
-// control are Procs: goroutines that run one at a time under the kernel's
+// control are Procs: coroutines that run one at a time under the kernel's
 // control, parking whenever they wait for virtual time to pass or for a
 // synchronization object. Because at most one Proc runs at any instant and
 // events at equal timestamps fire in FIFO order, a simulation is a pure
