@@ -45,6 +45,10 @@ type Workload struct {
 // workload.
 const blocks = 64
 
+// MinBodies is the smallest problem CountWorkload can count: one body
+// per microblock.
+const MinBodies = blocks
+
 // CountWorkload builds the problem, then measures per-block interaction
 // counts by traversing a sample of particles from each microblock and
 // scaling (documented sampling: the tree search cost is statistically

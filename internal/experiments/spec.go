@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"fmt"
 	"strings"
+
+	"spp1000/internal/apps/nbody"
 )
 
 // Spec is one simulation job as the service layer sees it: which
@@ -24,11 +26,17 @@ type Spec struct {
 
 // Normalize validates the spec and returns a cleaned copy: names
 // trimmed and checked against the experiment vocabulary, an empty list
-// rejected. Specs must be normalized before Canonical/Key so that
-// " fig2" and "fig2" address the same cache entry.
+// and N-body sizes too small to count rejected. Specs must be
+// normalized before Canonical/Key so that " fig2" and "fig2" address
+// the same cache entry.
 func (s Spec) Normalize() (Spec, error) {
 	if len(s.Experiments) == 0 {
 		return Spec{}, fmt.Errorf("spec: no experiments selected")
+	}
+	for _, n := range s.Options.NBodySizes {
+		if n < nbody.MinBodies {
+			return Spec{}, fmt.Errorf("spec: N-body size %d is below the minimum of %d bodies (one per microblock)", n, nbody.MinBodies)
+		}
 	}
 	out := s
 	out.Experiments = make([]string, len(s.Experiments))

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -115,6 +116,21 @@ func TestSpecNormalize(t *testing.T) {
 	}
 	if _, err := (Spec{}).Normalize(); err == nil {
 		t.Fatal("empty experiment list should fail Normalize")
+	}
+	// CountWorkload splits the bodies into 64 microblocks; fewer
+	// bodies than that would divide by zero in the run.
+	for _, n := range []int{-1, 0, 1, 32, 63} {
+		o := Quick()
+		o.NBodySizes = []int{32768, n}
+		if _, err := (Spec{Experiments: []string{"fig8"}, Options: o}).Normalize(); err == nil ||
+			!strings.Contains(err.Error(), fmt.Sprint(n)) {
+			t.Errorf("N-body size %d: Normalize error %v, want one naming the size", n, err)
+		}
+	}
+	o := Quick()
+	o.NBodySizes = []int{64}
+	if _, err := (Spec{Experiments: []string{"fig8"}, Options: o}).Normalize(); err != nil {
+		t.Errorf("N-body size 64: %v", err)
 	}
 }
 

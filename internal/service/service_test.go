@@ -223,6 +223,26 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// An N-body size below one body per microblock used to reach
+// CountWorkload and panic the daemon with a division by zero. It is
+// a bad request now, and the daemon goes on serving.
+func TestTinyNBodySizeRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, body := range []string{
+		`{"experiments":["fig8"],"options":{"nBodySizes":[32]}}`,
+		`{"experiments":["fig8"],"options":{"nBodySizes":[0]}}`,
+	} {
+		if _, code := submit(t, ts, body); code != http.StatusBadRequest {
+			t.Errorf("submit(%q): code %d, want 400", body, code)
+		}
+	}
+	v, code := submit(t, ts, `{"experiments":["fig8"],"options":{"nBodySizes":[64],"appSteps":1,"seed":1}}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("smallest accepted size: code %d, want 202", code)
+	}
+	waitStatus(t, ts, v.ID, StatusDone)
+}
+
 func TestAliasExpansion(t *testing.T) {
 	_, ts := newTestServer(t, Config{Run: func(context.Context, experiments.Spec) (string, error) {
 		return "", nil
