@@ -54,10 +54,11 @@ race:
 	$(GO) test -race ./...
 
 # One testing.B benchmark per paper table/figure, plus the kernel-level
-# microbenchmarks in internal/sim. The parsed ns/op + allocs/op land in
+# microbenchmarks in internal/sim and the 2M-body host stages of Fig. 8
+# in internal/apps/nbody. The parsed ns/op + allocs/op land in
 # $(BENCH_JSON) so the perf trajectory is tracked across PRs.
 bench:
-	$(GO) test -bench=. -benchmem -run=NONE . ./internal/sim ./internal/counters ./internal/memsys ./internal/machine | tee bench.txt
+	$(GO) test -bench=. -benchmem -run=NONE . ./internal/sim ./internal/counters ./internal/memsys ./internal/machine ./internal/apps/nbody | tee bench.txt
 	$(GO) run ./cmd/benchjson < bench.txt > $(BENCH_JSON)
 	@echo "wrote $(BENCH_JSON)"
 
