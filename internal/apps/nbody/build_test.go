@@ -2,6 +2,7 @@ package nbody
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -74,7 +75,7 @@ func TestSortMortonTieOrderMatchesSortSlice(t *testing.T) {
 	}
 }
 
-// Build gives each root octant nodeCapacity(its body count) cells.
+// Build gives each root octant nodeCapacity(its body count) nodes.
 // Plummer spheres must fit every octant, so they never fall back to
 // the one-region build.
 func TestBuildDoesNotRegrow(t *testing.T) {
@@ -115,7 +116,8 @@ func sameForces(t *testing.T, a, b *Tree) {
 }
 
 // sameTree fails t unless the two trees have the same cells, compared
-// bitwise, in the same octant structure; cell indices may differ.
+// bitwise, in the same octant structure; node indices may differ, but
+// empty slots and inline leaves must be equal.
 func sameTree(t *testing.T, a, b *Tree, na, nb int32) {
 	t.Helper()
 	ca, cb := a.nodes[na], b.nodes[nb]
@@ -129,10 +131,11 @@ func sameTree(t *testing.T, a, b *Tree, na, nb int32) {
 	}
 	for o := range ca.children {
 		switch {
-		case (ca.children[o] < 0) != (cb.children[o] < 0):
-			t.Fatalf("cell %d and cell %d differ in octant %d", na, nb, o)
-		case ca.children[o] >= 0:
+		case ca.children[o] >= 0 && cb.children[o] >= 0:
 			sameTree(t, a, b, ca.children[o], cb.children[o])
+		case ca.children[o] != cb.children[o]:
+			t.Fatalf("cell %d and cell %d differ in octant %d: slots %d and %d",
+				na, nb, o, ca.children[o], cb.children[o])
 		}
 	}
 }
@@ -144,29 +147,84 @@ func TestBuildOctantsMatchesWhole(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		b := NewPlummer(32768, seed)
 		SortMorton(b)
-		octants, whole, ok := buildBoth(b)
-		if !ok {
-			t.Fatalf("seed %d: the region build fell back", seed)
+		matchWhole(t, fmt.Sprintf("seed %d", seed), b)
+	}
+}
+
+// matchWhole fails t unless b's region build fits and equals its
+// one-region build cell for cell and force for force.
+func matchWhole(t *testing.T, name string, b *Bodies) {
+	t.Helper()
+	octants, whole, ok := buildBoth(b)
+	if !ok {
+		t.Fatalf("%s: the region build fell back", name)
+	}
+	if octants.NumNodes() != whole.NumNodes() {
+		t.Fatalf("%s: %d cells in regions, %d in one region", name, octants.NumNodes(), whole.NumNodes())
+	}
+	sameTree(t, octants, whole, 0, 0)
+	sameForces(t, octants, whole)
+	checkTreeConsistency(t, octants)
+	// Every real node holds a body; the unused slots at the ends of
+	// the regions are empty cells, never a leaf holding body 0.
+	used := 0
+	for i, nd := range octants.nodes {
+		if nd.count > 0 {
+			used++
+		} else if nd != cell(0) {
+			t.Fatalf("%s: unused slot %d is %+v, want an empty cell", name, i, nd)
 		}
-		if octants.NumNodes() != whole.NumNodes() {
-			t.Fatalf("seed %d: %d cells in regions, %d in one region", seed, octants.NumNodes(), whole.NumNodes())
+	}
+	if used+octants.leaves != octants.NumNodes() {
+		t.Fatalf("%s: %d slots in use and %d inline leaves, NumNodes %d",
+			name, used, octants.leaves, octants.NumNodes())
+	}
+}
+
+// Coincident bodies in several root octants: inline leaves become leaf
+// nodes inside bounded regions, and the coincident leaves stay nodes.
+func TestBuildOctantsCoincident(t *testing.T) {
+	b := NewPlummer(8000, 8)
+	// Bodies on five points in different root octants: one in seven
+	// bodies, from body 100 on, is moved onto a point.
+	root, _ := newTree(b)
+	c := root.cx
+	var points []int
+	seen := map[int]bool{}
+	for i := 0; len(points) < 5; i++ {
+		if o := octant(c, c, c, b.X[i], b.Y[i], b.Z[i]); !seen[o] {
+			seen[o] = true
+			points = append(points, i)
 		}
-		sameTree(t, octants, whole, 0, 0)
-		sameForces(t, octants, whole)
-		checkTreeConsistency(t, octants)
-		// Every real cell holds a body; the unused slots at the ends of
-		// the regions are empty cells, never a leaf holding body 0.
-		used := 0
-		for i, nd := range octants.nodes {
-			if nd.count > 0 {
-				used++
-			} else if nd != cell(0) {
-				t.Fatalf("seed %d: unused slot %d is %+v, want an empty cell", seed, i, nd)
-			}
+	}
+	for i := 100; i < b.N(); i += 7 {
+		p := points[i%len(points)]
+		b.X[i], b.Y[i], b.Z[i] = b.X[p], b.Y[p], b.Z[p]
+	}
+	matchWhole(t, "coincident", b)
+	tr := Build(b)
+	shared := 0
+	for _, nd := range tr.nodes {
+		if nd.body >= 0 && nd.count > 1 {
+			shared++
 		}
-		if used != octants.NumNodes() {
-			t.Fatalf("seed %d: %d slots in use, NumNodes %d", seed, used, octants.NumNodes())
-		}
+	}
+	if shared < len(points) {
+		t.Fatalf("%d coincident leaf nodes, want at least %d", shared, len(points))
+	}
+}
+
+// A root octant holding one body is an inline leaf of the root in the
+// region build, as in the one-region build.
+func TestBuildOctantsLoneBody(t *testing.T) {
+	b := NewPlummer(2000, 9)
+	for i := range b.N() {
+		b.X[i], b.Y[i], b.Z[i] = -math.Abs(b.X[i]), -math.Abs(b.Y[i]), -math.Abs(b.Z[i])
+	}
+	b.X[0], b.Y[0], b.Z[0] = 20, 20, 20 // alone in octant 7
+	matchWhole(t, "lone body", b)
+	if tr := Build(b); tr.nodes[0].children[7] != leafRef(0) {
+		t.Fatalf("root octant 7 slot %d, want leafRef(0) = %d", tr.nodes[0].children[7], leafRef(0))
 	}
 }
 
@@ -179,8 +237,9 @@ func TestBuildClusteredFallsBack(t *testing.T) {
 		t.Fatal("the clustered set fit its octant regions; want the fallback")
 	}
 	tr := Build(b)
-	if tr.NumNodes() != whole.NumNodes() || len(tr.nodes) != tr.NumNodes() {
-		t.Fatalf("Build: %d cells in %d slots, one-region build %d cells", tr.NumNodes(), len(tr.nodes), whole.NumNodes())
+	if tr.NumNodes() != whole.NumNodes() || len(tr.nodes)+tr.leaves != tr.NumNodes() {
+		t.Fatalf("Build: %d cells in %d slots and %d inline leaves, one-region build %d cells",
+			tr.NumNodes(), len(tr.nodes), tr.leaves, whole.NumNodes())
 	}
 	sameTree(t, tr, whole, 0, 0)
 	sameForces(t, tr, whole)
@@ -204,9 +263,9 @@ func TestBuildClusteredExceedsEstimate(t *testing.T) {
 	b := clustered()
 	n := b.N()
 	tr := Build(b)
-	if tr.NumNodes() <= nodeCapacity(n) {
-		t.Fatalf("%d nodes for %d clustered bodies, want more than the estimate %d",
-			tr.NumNodes(), n, nodeCapacity(n))
+	if tr.NumNodes() <= nodeCapacity(n) || len(tr.nodes) <= nodeCapacity(n) {
+		t.Fatalf("%d cells (%d nodes) for %d clustered bodies, want more than the estimate %d",
+			tr.NumNodes(), len(tr.nodes), n, nodeCapacity(n))
 	}
 	root := tr.nodes[0]
 	if int(root.count) != n || math.Abs(root.mass-1) > 1e-9 {
@@ -304,6 +363,23 @@ func TestCountWorkloadWorkerInvariant(t *testing.T) {
 				t.Fatalf("n=%d seed=%d: 1 worker %d nodes %d visited, 4 workers %d nodes %d visited",
 					n, seed, serial.TreeNodes, serial.Visited, par.TreeNodes, par.Visited)
 			}
+		}
+	}
+}
+
+// At Fig. 8's largest size the region build must fit. A fallback to
+// the one-region build would change no output, only time and memory,
+// so no output test would notice it.
+func TestBuildOctantsFitsPaperScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds three 2M-body trees")
+	}
+	for _, seed := range []uint64{1, 2, 42} {
+		b := NewPlummer(benchBodies, seed)
+		SortMorton(b)
+		tr, half := newTree(b)
+		if !tr.buildOctants(half) {
+			t.Fatalf("seed %d: an octant of the %d-body tree outgrew its region", seed, benchBodies)
 		}
 	}
 }

@@ -67,7 +67,8 @@ func TestTreeInternalConsistency(t *testing.T) {
 }
 
 // checkTreeConsistency fails t unless every internal node's count and
-// mass equal the sums over its children.
+// mass equal the sums over its children. An inline leaf counts one
+// body of its body's mass.
 func checkTreeConsistency(t *testing.T, tr *Tree) {
 	t.Helper()
 	for idx := range tr.nodes {
@@ -78,9 +79,13 @@ func checkTreeConsistency(t *testing.T, tr *Tree) {
 		var count int32
 		var mass float64
 		for _, c := range nd.children {
-			if c >= 0 {
+			switch {
+			case c >= 0:
 				count += tr.nodes[c].count
 				mass += tr.nodes[c].mass
+			case c < -1:
+				count++
+				mass += tr.bodies.M[leafBody(c)]
 			}
 		}
 		if count != nd.count {

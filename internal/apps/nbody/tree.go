@@ -253,17 +253,26 @@ func radixSort(recs, buf []mortonRec) []mortonRec {
 	return recs
 }
 
-// node is one octree cell. Cells do not store their centres: insert is
-// the only reader, and it derives each centre on the way down from the
-// root's.
+// node is one octree cell stored in the slab: an internal cell, a leaf
+// of coincident bodies, or a root holding at most one body. Cells do
+// not store their centres: insert is the only reader, and it derives
+// each centre on the way down from the root's.
 type node struct {
 	half             float64 // half side length
 	mass             float64
 	comX, comY, comZ float64
-	children         [8]int32 // node indices, -1 = empty
-	body             int32    // particle index for singleton leaves, else -1
+	children         [8]int32 // child slots: node index, -1 = empty, or leafRef
+	body             int32    // particle index for a leaf node, else -1
 	count            int32    // bodies underneath
 }
+
+// leafRef is the child-slot code of an inline leaf: a cell holding the
+// one body b, kept in its parent's slot instead of as a node. Its mass
+// and centre of mass are the body's own, read from the body arrays.
+func leafRef(b int32) int32 { return -2 - b }
+
+// leafBody is the body of the inline leaf with child-slot code c < -1.
+func leafBody(c int32) int32 { return -2 - c }
 
 // cell is an empty cell of half side half.
 func cell(half float64) node {
@@ -278,7 +287,8 @@ type Tree struct {
 	cx, cy, cz float64 // centre of the cell at root
 	root       int32   // the cell insert descends from
 	bounded    bool    // newNode fails rather than grow nodes past its capacity
-	cells      int     // cells in use; Build leaves unused slots in nodes
+	used       int     // nodes in use; Build leaves unused slots in nodes
+	leaves     int     // inline leaves, held in child slots
 }
 
 // NodeBytes is the approximate storage of one tree node as the paper's
@@ -287,10 +297,12 @@ type Tree struct {
 const NodeBytes = 88
 
 // nodeCapacity is the node count Build reserves for a subtree of n
-// bodies. Plummer spheres from 32K to 2M bodies build 1.482–1.486
-// nodes per body, so 8n/5 holds every root octant's subtree; denser
-// clusters fall back to one region that grows.
-func nodeCapacity(n int) int { return 8*n/5 + 1 }
+// bodies. Singleton leaves live in their parents' child slots, so the
+// nodes are the internal cells and the rare coincident leaves: Plummer
+// spheres from 32K to 2M bodies build 0.482–0.489 internal cells per
+// body, so 5n/8 holds every root octant's subtree; denser clusters
+// fall back to one region that grows.
+func nodeCapacity(n int) int { return 5*n/8 + 1 }
 
 // errRegionFull reports that an octant's subtree outgrew its region.
 var errRegionFull = errors.New("nbody: octant region full")
@@ -329,18 +341,20 @@ func (t *Tree) buildWhole(half float64) {
 		t.insert(int32(i))
 	}
 	t.computeMoments(0)
-	t.cells = len(t.nodes)
+	t.used = len(t.nodes)
 }
 
 // buildOctants builds the tree buildWhole would, with the same counts,
 // moments and cell count, as eight root-octant subtrees at once.
-// Octant o's subtree gets a region of nodeCapacity(its count) slots in
-// one slab and inserts through slab[:lo:hi], so its child indices are
-// global as built. Its task picks the octant's bodies, in body order,
-// out of a scan over all of them. Force and computeMoments visit
-// children by octant, never by index, so the differing numbering
-// changes no result. It returns false, having set nothing, if a region
-// fills up or if the root would stay a leaf.
+// A counting pass records each body's root octant. Octant o's subtree
+// gets a region of nodeCapacity(its count) slots in one slab and
+// inserts through slab[:lo:hi], so its child indices are global as
+// built; its task picks the octant's bodies, in body order, out of the
+// recorded octants. An octant of one body is an inline leaf in the
+// root, as buildWhole makes it. Force and computeMoments visit children
+// by octant, never by index, so the differing numbering changes no
+// result. It returns false, having set nothing, if a region fills up or
+// if the root would stay a leaf.
 func (t *Tree) buildOctants(half float64) bool {
 	b := t.bodies
 	n := b.N()
@@ -348,47 +362,59 @@ func (t *Tree) buildOctants(half float64) bool {
 		return false
 	}
 	c := t.cx
+	oct := make([]uint8, n)
 	counts := make([][8]int, numChunks(n))
 	eachChunk(n, func(k, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			counts[k][octant(c, c, c, b.X[i], b.Y[i], b.Z[i])]++
+			o := octant(c, c, c, b.X[i], b.Y[i], b.Z[i])
+			oct[i] = uint8(o)
+			counts[k][o]++
 		}
 	})
 
 	// Node 0 is the root; octant o's region is nodes [lo[o], hi[o]).
-	var lo, hi [8]int
+	var cnt, lo, hi [8]int
 	size := 1
 	for o := range 8 {
-		k := 0
-		for _, cnt := range counts {
-			k += cnt[o]
+		for _, k := range counts {
+			cnt[o] += k[o]
 		}
 		lo[o] = size
-		if k > 0 {
-			size += nodeCapacity(k)
+		if cnt[o] > 1 {
+			size += nodeCapacity(cnt[o])
 		}
 		hi[o] = size
 	}
 	slab := make([]node, size)
 	slab[0] = cell(half)
 	var moments [8][4]float64
-	var cells [8]int
+	var child [8]int32
+	var used, leaves [8]int
 	err := runner.Each(8, func(o int) error {
-		if lo[o] == hi[o] {
+		child[o] = -1
+		switch cnt[o] {
+		case 0:
+			return nil
+		case 1:
+			i := int32(slices.Index(oct, uint8(o)))
+			child[o], leaves[o] = leafRef(i), 1
+			m, mx, my, mz := t.leafMoments(i)
+			moments[o] = [4]float64{m, mx, my, mz}
 			return nil
 		}
 		cx, cy, cz := childCenter(c, c, c, half/2, o)
 		sub := &Tree{nodes: slab[:lo[o]:hi[o]], bodies: b, cx: cx, cy: cy, cz: cz,
 			root: int32(lo[o]), bounded: true}
 		sub.newNode(half / 2)
-		for i := range int32(n) {
-			if octant(c, c, c, b.X[i], b.Y[i], b.Z[i]) == o && !sub.insert(i) {
+		for i, ob := range oct {
+			if int(ob) == o && !sub.insert(int32(i)) {
 				return errRegionFull
 			}
 		}
 		m, mx, my, mz := sub.computeMoments(sub.root)
 		moments[o] = [4]float64{m, mx, my, mz}
-		cells[o] = len(sub.nodes) - lo[o]
+		child[o] = sub.root
+		used[o], leaves[o] = len(sub.nodes)-lo[o], sub.leaves
 		for i := len(sub.nodes); i < hi[o]; i++ {
 			slab[i] = cell(0)
 		}
@@ -400,18 +426,19 @@ func (t *Tree) buildOctants(half float64) bool {
 	// The root's moments, summed in octant order as computeMoments does.
 	root := &slab[0]
 	root.count = int32(n)
+	root.children = child
 	var tm, tx, ty, tz float64
-	t.cells = 1
+	t.used = 1
 	for o := range 8 {
-		if lo[o] == hi[o] {
+		if cnt[o] == 0 {
 			continue
 		}
-		root.children[o] = int32(lo[o])
 		tm += moments[o][0]
 		tx += moments[o][1]
 		ty += moments[o][2]
 		tz += moments[o][3]
-		t.cells += cells[o]
+		t.used += used[o]
+		t.leaves += leaves[o]
 	}
 	root.mass = tm
 	if tm > 0 {
@@ -432,8 +459,9 @@ func (t *Tree) newNode(half float64) int32 {
 	return int32(len(t.nodes) - 1)
 }
 
-// NumNodes reports the node count.
-func (t *Tree) NumNodes() int { return t.cells }
+// NumNodes reports the cell count: the nodes in use and the inline
+// leaves.
+func (t *Tree) NumNodes() int { return t.used + t.leaves }
 
 // octant selects the child octant of a point within the cell centred
 // at (cx, cy, cz).
@@ -485,42 +513,45 @@ func (t *Tree) insert(body int32) bool {
 		nd := &t.nodes[n]
 		nd.count++
 		if nd.count == 1 {
-			// Empty leaf: take the body.
+			// Empty root: take the body.
 			nd.body = body
 			return true
 		}
 		h := nd.half / 2
 		if nd.body >= 0 {
-			// Singleton leaf: push the resident body down, unless the
-			// two coincide too closely to separate (give up splitting
-			// below a minimum cell size).
+			// Leaf node: push the resident body down into an inline
+			// leaf, unless the two coincide too closely to separate
+			// (give up splitting below a minimum cell size).
 			if nd.half < 1e-12 {
 				return true // degenerate: coincident points share the leaf's monopole
 			}
 			old := nd.body
 			nd.body = -1
-			o := octant(cx, cy, cz, x[old], y[old], z[old])
+			nd.children[octant(cx, cy, cz, x[old], y[old], z[old])] = leafRef(old)
+			t.leaves++
+		}
+		// Internal: descend.
+		o := octant(cx, cy, cz, x[body], y[body], z[body])
+		c := nd.children[o]
+		if c == -1 {
+			nd.children[o] = leafRef(body)
+			t.leaves++
+			return true
+		}
+		if c < -1 {
+			// An inline leaf gets a second body: it becomes a leaf node,
+			// which the next pass splits.
 			child := t.newNode(h)
 			if child < 0 {
 				return false
 			}
 			t.nodes[n].children[o] = child // newNode may have reallocated
-			t.nodes[child].body = old
+			t.nodes[child].body = leafBody(c)
 			t.nodes[child].count = 1
+			t.leaves--
+			c = child
 		}
-		// Internal: descend.
-		o := octant(cx, cy, cz, x[body], y[body], z[body])
-		if t.nodes[n].children[o] < 0 {
-			child := t.newNode(h)
-			if child < 0 {
-				return false
-			}
-			t.nodes[n].children[o] = child
-			t.nodes[child].body = body
-			t.nodes[child].count = 1
-			return true
-		}
-		n = t.nodes[n].children[o]
+		n = c
 		cx, cy, cz = childCenter(cx, cy, cz, h, o)
 	}
 }
@@ -537,10 +568,15 @@ func (t *Tree) computeMoments(n int32) (mass, mx, my, mz float64) {
 	}
 	var tm, tx, ty, tz float64
 	for _, c := range nd.children {
-		if c < 0 {
+		var m, x, y, z float64
+		switch {
+		case c >= 0:
+			m, x, y, z = t.computeMoments(c)
+		case c < -1:
+			m, x, y, z = t.leafMoments(leafBody(c))
+		default:
 			continue
 		}
-		m, x, y, z := t.computeMoments(c)
 		tm += m
 		tx += x
 		ty += y
@@ -554,6 +590,14 @@ func (t *Tree) computeMoments(n int32) (mass, mx, my, mz float64) {
 	return tm, tx, ty, tz
 }
 
+// leafMoments is the mass and mass-weighted position of the inline
+// leaf holding body b: what computeMoments returns for a leaf node of
+// one body.
+func (t *Tree) leafMoments(b int32) (mass, mx, my, mz float64) {
+	m := t.bodies.M[b]
+	return m, m * t.bodies.X[b], m * t.bodies.Y[b], m * t.bodies.Z[b]
+}
+
 // ForceStats counts the work of one force evaluation.
 type ForceStats struct {
 	Visited      int64 // tree nodes examined
@@ -565,38 +609,57 @@ type ForceStats struct {
 //
 //simlint:hotpath
 func (t *Tree) Force(i int, theta, eps float64) (ax, ay, az float64, st ForceStats) {
-	xi, yi, zi := t.bodies.X[i], t.bodies.Y[i], t.bodies.Z[i]
+	bd := t.bodies
+	xi, yi, zi := bd.X[i], bd.Y[i], bd.Z[i]
 	eps2 := eps * eps
-	// Explicit stack: the paper's code is an iterative tree search.
+	// Explicit stack of child slots: the paper's code is an iterative
+	// tree search.
 	stack := make([]int32, 0, 64)
 	stack = append(stack, 0)
 	for len(stack) > 0 {
-		n := stack[len(stack)-1]
+		c := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		nd := &t.nodes[n]
 		st.Visited++
-		if nd.count == 0 || nd.mass == 0 {
+		// An inline leaf is a one-body cell: always accepted, and
+		// skipped when it holds body i itself.
+		var mass, comX, comY, comZ float64
+		var internal, self bool
+		var nd *node
+		if c < -1 {
+			b := leafBody(c)
+			mass, comX, comY, comZ = bd.M[b], bd.X[b], bd.Y[b], bd.Z[b]
+			self = b == int32(i)
+		} else {
+			nd = &t.nodes[c]
+			if nd.count == 0 {
+				continue
+			}
+			mass, comX, comY, comZ = nd.mass, nd.comX, nd.comY, nd.comZ
+			internal = nd.body < 0
+			self = nd.body == int32(i) && nd.count == 1
+		}
+		if mass == 0 {
 			continue
 		}
-		dx := nd.comX - xi
-		dy := nd.comY - yi
-		dz := nd.comZ - zi
+		dx := comX - xi
+		dy := comY - yi
+		dz := comZ - zi
 		r2 := dx*dx + dy*dy + dz*dz
-		if nd.body >= 0 || (2*nd.half)*(2*nd.half) < theta*theta*r2 {
+		if !internal || (2*nd.half)*(2*nd.half) < theta*theta*r2 {
 			// Accept: leaf or well-separated cell.
-			if nd.body == int32(i) && nd.count == 1 {
-				continue // self
+			if self {
+				continue
 			}
 			st.Interactions++
 			inv := 1 / math.Sqrt(r2+eps2)
-			inv3 := inv * inv * inv * nd.mass
+			inv3 := inv * inv * inv * mass
 			ax += dx * inv3
 			ay += dy * inv3
 			az += dz * inv3
 			continue
 		}
 		for _, c := range nd.children {
-			if c >= 0 {
+			if c != -1 {
 				stack = append(stack, c)
 			}
 		}
