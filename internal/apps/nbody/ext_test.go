@@ -2,60 +2,11 @@ package nbody
 
 import "testing"
 
-// Tests for the message-passing variant (§5.3.2) and the dynamic
-// load-balancing extension (§7 future work).
+// Tests for the dynamic load-balancing extension (§7 future work).
 
 func countedWorkload(t *testing.T) *Workload {
 	t.Helper()
 	return CountWorkload(32768, 64, 1)
-}
-
-func TestPVMSerialFasterSharedParallelBetter(t *testing.T) {
-	w := countedWorkload(t)
-	s1, err := Run(w, 1, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p1, err := RunPVM(w, 1, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// §5.3.2: "The single processor performance of the code was quite
-	// good ... somewhat faster than ... the shared memory programming
-	// model."
-	if p1.Mflops <= s1.Mflops {
-		t.Errorf("PVM serial (%v) should beat shared serial (%v)", p1.Mflops, s1.Mflops)
-	}
-	if p1.Mflops > s1.Mflops*1.4 {
-		t.Errorf("PVM serial advantage too large: %v vs %v", p1.Mflops, s1.Mflops)
-	}
-	// "...overall performance is degraded relative to the shared
-	// memory version."
-	s16, err := Run(w, 16, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p16, err := RunPVM(w, 16, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p16.Mflops >= s16.Mflops {
-		t.Errorf("PVM at 16 (%v) should trail shared (%v)", p16.Mflops, s16.Mflops)
-	}
-	// Packing overheads grow with the task count: scaling efficiency
-	// strictly below the shared version's.
-	sEff := s16.Mflops / s1.Mflops
-	pEff := p16.Mflops / p1.Mflops
-	if pEff >= sEff {
-		t.Errorf("PVM speedup (%v) should trail shared speedup (%v)", pEff, sEff)
-	}
-}
-
-func TestPVMValidation(t *testing.T) {
-	w := countedWorkload(t)
-	if _, err := RunPVM(w, 3, 1, 1); err == nil {
-		t.Fatal("procs=3 should be rejected")
-	}
 }
 
 func TestDynamicMatchesStaticWhenBalanced(t *testing.T) {
