@@ -1,8 +1,9 @@
 // Command sppd runs the simulator as a long-lived service: submit
 // experiment jobs over HTTP, poll their status, fetch rendered results.
 // Every job is content-addressed by the canonical hash of its full
-// configuration, so identical submissions are served from the result
-// cache (or coalesced onto one in-flight run) instead of re-simulating.
+// configuration, so an identical submission joins the job already
+// holding its key (in flight or done), or is read back from the durable
+// store, instead of re-simulating.
 //
 // Usage:
 //
@@ -42,7 +43,6 @@ func main() {
 	queue := flag.Int("queue", 64, "job queue depth (submissions beyond it get 503)")
 	jobs := flag.Int("jobs", 1, "jobs executed concurrently")
 	par := flag.Int("par", 0, "host workers per job for independent simulations (0 = all cores)")
-	cacheCap := flag.Int("cache", 256, "completed results kept for reuse (<0 = unbounded)")
 	storeDir := flag.String("store", "", "durable result store directory (empty = memory only; results then die with the process)")
 	storeCap := flag.Int("store-cap", 4096, "durable store entries kept, oldest evicted (<=0 = unbounded)")
 	jobTimeout := flag.Duration("job-timeout", 0, "default per-job execution deadline (0 = none; submissions may override)")
@@ -64,10 +64,9 @@ func main() {
 	runner.SetWorkers(*par)
 
 	cfg := service.Config{
-		QueueDepth:    *queue,
-		Workers:       *jobs,
-		CacheCapacity: *cacheCap,
-		JobTimeout:    *jobTimeout,
+		QueueDepth: *queue,
+		Workers:    *jobs,
+		JobTimeout: *jobTimeout,
 	}
 	if *join != "" {
 		if *advertise == "" {

@@ -62,7 +62,8 @@ const specVersion = "spp-spec-v1"
 // value is terminated by a newline, so distinct configurations can
 // never collide and identical configurations always produce identical
 // bytes regardless of how the Spec was built (struct literal, JSON,
-// flags). This is the content-address preimage for the result cache.
+// flags). This is the content-address preimage for sppd's job table
+// and durable result store.
 //
 // Every field of Options appears here; TestCanonicalCoversOptions
 // enforces that a new Options field cannot be added without extending

@@ -21,11 +21,11 @@ type Point string
 // The injectable sites. Each constant documents where its Fire call
 // lives and what the hook receives.
 const (
-	// RunStart fires in the service worker inside the result-cache
-	// compute function, immediately before a job's RunFunc executes.
-	// Arg: the job id. A hook that blocks injects a slow run (filling
-	// the bounded queue behind it); a hook that returns an error makes
-	// the run fail.
+	// RunStart fires in the service worker when a job reaches its
+	// compute step, before the peer fetch and the RunFunc. Arg: the
+	// job id. A hook that blocks injects a slow run (filling the
+	// bounded queue behind it); a hook that returns an error makes the
+	// run fail.
 	RunStart Point = "service.run.start"
 
 	// StoreWrite fires in store.Put after the payload is written to the

@@ -34,10 +34,7 @@ var clusterSummed = []string{
 	"jobs_timeout_total",
 	"jobs_checkpointed_total",
 	"peer_hits_total",
-	"cache_hits_total",
 	"cache_misses_total",
-	"cache_coalesced_total",
-	"cache_evictions_total",
 	"store_hits_total",
 	"store_errors_total",
 	"sim_cycles_total",

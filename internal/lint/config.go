@@ -92,7 +92,6 @@ var PDESPackages = []string{
 var HostPackages = []string{
 	"internal/runner",
 	"internal/service",
-	"internal/resultcache",
 	"internal/store",
 	"internal/faultinject",
 	"internal/gateway",
@@ -145,9 +144,6 @@ var RequiredHotpaths = map[string][]string{
 	"internal/counters": {"Counter.Inc", "Counter.Add", "Histogram.Observe"},
 	// The PDES stripe worker body: runs once per partition per window.
 	"internal/parsim": {"Coordinator.runPart"},
-	// The daemon's cache hot path: a hash lookup answering repeat
-	// submissions.
-	"internal/resultcache": {"Cache.Lookup"},
 	// The N-body tree code's force traversal and insert descent: the
 	// paper's §5.3 inner loops, and the bulk of a paper-scale suite's
 	// host time.

@@ -41,10 +41,10 @@ func TestDeps(t *testing.T) {
 // TestAllocFree covers both sides of the escape gate: compiler-reported
 // escapes inside annotated bodies (./internal/hotpath), and a
 // RequiredHotpaths function that has lost its annotation
-// (./internal/resultcache). It shells out to `go build -gcflags=-m=2`.
+// (./internal/apps/nbody). It shells out to `go build -gcflags=-m=2`.
 func TestAllocFree(t *testing.T) {
 	linttest.Run(t, fixmod,
-		[]string{"./internal/hotpath", "./internal/resultcache"},
+		[]string{"./internal/hotpath", "./internal/apps/nbody"},
 		lint.AllocFree)
 }
 
@@ -90,7 +90,6 @@ func TestClassify(t *testing.T) {
 		{"spp1000/internal/parsim", lint.ClassPDES},
 		{"spp1000/internal/runner", lint.ClassHost},
 		{"spp1000/internal/service", lint.ClassHost},
-		{"spp1000/internal/resultcache", lint.ClassHost},
 		{"spp1000/internal/store", lint.ClassHost},
 		{"spp1000/internal/faultinject", lint.ClassHost},
 		{"spp1000/internal/load", lint.ClassHost},

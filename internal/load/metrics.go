@@ -173,15 +173,15 @@ type Reconciliation struct {
 //	deduplicated = (200s + 202s) - distinct accepted keys
 //	done / failed / canceled / timeout / checkpointed = distinct keys
 //	                                     polled to that terminal status
-//	done_cached, cache_hits, cache_coalesced = 0: with every key still
-//	    in the job table, resubmits coalesce at the table (dedup), so
-//	    the result cache is never consulted
+//	done_cached = 0: with every key still in the job table, resubmits
+//	    dedup at the table, so no result is read back from the durable
+//	    store (or a peer)
 //	jobs_queued = jobs_running = 0 at end (every key polled terminal)
 //
-// cache_misses_total is deliberately left out: the daemon consults the
-// cache only on paths (pruned table, restart) the run discipline rules
-// out, so its delta is also 0, but asserting it would couple the
-// harness to cache-internals rather than the job-book contract.
+// cache_misses_total (jobs that reached the compute step) is
+// deliberately left out: it counts runs, which the client cannot tell
+// apart from peer fetches, and asserting it would couple the harness to
+// daemon internals rather than the job-book contract.
 func Reconcile(tally Tally, delta, final Metrics) Reconciliation {
 	counter := func(name string, want int) Check {
 		got := int64(delta[name])
@@ -204,8 +204,6 @@ func Reconcile(tally Tally, delta, final Metrics) Reconciliation {
 		counter("jobs_timeout_total", tally.Timeout),
 		counter("jobs_checkpointed_total", tally.Checkpointed),
 		counter("jobs_done_cached_total", 0),
-		counter("cache_hits_total", 0),
-		counter("cache_coalesced_total", 0),
 		gauge("jobs_queued", 0),
 		gauge("jobs_running", 0),
 	}}

@@ -9,7 +9,7 @@ import (
 const sampleSppd = `sppd_jobs_submitted_total 12
 sppd_jobs_deduplicated_total 3
 sppd_jobs_queued 0
-sppd_cache_hit_ratio 0.750
+sppd_uptime_seconds 0.750
 bogus line without value
 sppd_unparsable notanumber
 `
@@ -20,7 +20,7 @@ func TestParseMetricsStripsPrefix(t *testing.T) {
 		t.Fatalf("parsed %d metrics (%v), want 4", len(m), m)
 	}
 	if m["jobs_submitted_total"] != 12 || m["jobs_deduplicated_total"] != 3 ||
-		m["jobs_queued"] != 0 || m["cache_hit_ratio"] != 0.75 {
+		m["jobs_queued"] != 0 || m["uptime_seconds"] != 0.75 {
 		t.Fatalf("parsed %v", m)
 	}
 	if full := ParseMetrics(sampleSppd, ""); full["sppd_jobs_submitted_total"] != 12 {
@@ -66,8 +66,6 @@ func TestReconcileExact(t *testing.T) {
 		"jobs_canceled_total":     3,
 		"jobs_timeout_total":      3,
 		"jobs_done_cached_total":  0,
-		"cache_hits_total":        0,
-		"cache_coalesced_total":   0,
 		"cache_misses_total":      17, // deliberately unchecked
 		"sim_cycles_total":        999999,
 	}
@@ -76,8 +74,8 @@ func TestReconcileExact(t *testing.T) {
 	if !r.OK {
 		t.Fatalf("reconcile failed:\n%s", r.Failures())
 	}
-	if len(r.Checks) != 13 {
-		t.Fatalf("%d checks, want 13", len(r.Checks))
+	if len(r.Checks) != 11 {
+		t.Fatalf("%d checks, want 11", len(r.Checks))
 	}
 }
 

@@ -21,8 +21,7 @@ type OpClass int
 const (
 	// OpHot resubmits one of a small set of hot specs, chosen
 	// zipfian-skewed: after the first completion these must coalesce at
-	// the job table (dedup) or be answered from the result cache, never
-	// re-simulated.
+	// the job table (dedup), never re-simulated.
 	OpHot OpClass = iota
 	// OpCold submits a never-seen spec and waits for it to finish — the
 	// closed-loop simulate path.

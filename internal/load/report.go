@@ -166,8 +166,8 @@ func round3(v float64) float64 {
 }
 
 // integralDelta keeps the integral-valued metric deltas (the counters
-// and gauges; float rates like cache_hit_ratio and uptime_seconds are
-// meaningless as deltas and are dropped).
+// and gauges; float rates like sim_cycles_per_wall_second and
+// uptime_seconds are meaningless as deltas and are dropped).
 func integralDelta(d Metrics) map[string]int64 {
 	out := make(map[string]int64)
 	for name, v := range d {

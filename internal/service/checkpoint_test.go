@@ -11,6 +11,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"net/http"
@@ -21,6 +22,7 @@ import (
 	"time"
 
 	"spp1000/internal/experiments"
+	"spp1000/internal/faultinject"
 	"spp1000/internal/snapshot"
 	"spp1000/internal/store"
 )
@@ -268,4 +270,61 @@ func v1Checkpoint(t *testing.T, c *snapshot.Checkpoint) []byte {
 	fmt.Fprintf(&b, "section regions %d\n%s\n", len(regions), regions)
 	fmt.Fprintf(&b, "end 4 %08x\n", crc32.ChecksumIEEE(b.Bytes()))
 	return b.Bytes()
+}
+
+// TestFaultInjectedCheckpointStoreFailuresCounted: checkpoint I/O is
+// store I/O. With every durable write failing, a run that saves three
+// boundaries still finishes, and sppd_store_errors_total counts each
+// failed write — the three checkpoints and the result. With reads
+// failing, the submit-time result read and the resume-checkpoint read
+// each count once.
+func TestFaultInjectedCheckpointStoreFailuresCounted(t *testing.T) {
+	const boundaries = 3
+	runCp := func(ctx context.Context, spec experiments.Spec, prior []byte, save func([]byte) error) (string, []byte, error) {
+		for i := 0; i < boundaries; i++ {
+			if err := save([]byte(fmt.Sprintf("prefix-%d", i))); err != nil {
+				return "", nil, err
+			}
+		}
+		return "finished", nil, nil
+	}
+
+	t.Run("write", func(t *testing.T) {
+		st, err := store.Open(t.TempDir(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, ts := newTestServer(t, Config{Store: st, RunCheckpointed: runCp})
+		var failed atomic.Int64
+		t.Cleanup(faultinject.Arm(faultinject.StoreWrite, func(...string) error {
+			failed.Add(1)
+			return errors.New("injected write failure")
+		}))
+		v, _ := submit(t, ts, seedBody(30))
+		waitStatus(t, ts, v.ID, StatusDone)
+		if res, _ := getResult(t, ts, v.ID); res != "finished" {
+			t.Fatalf("result = %q", res)
+		}
+		m := metricsMap(t, ts)
+		if failed.Load() != boundaries+1 || m["store_errors_total"] != float64(failed.Load()) {
+			t.Fatalf("store_errors_total = %v, failed writes = %d, want both %d",
+				m["store_errors_total"], failed.Load(), boundaries+1)
+		}
+	})
+
+	t.Run("read", func(t *testing.T) {
+		st, err := store.Open(t.TempDir(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, ts := newTestServer(t, Config{Store: st, RunCheckpointed: runCp})
+		t.Cleanup(faultinject.Arm(faultinject.StoreRead, func(...string) error {
+			return errors.New("injected read failure")
+		}))
+		v, _ := submit(t, ts, seedBody(31))
+		waitStatus(t, ts, v.ID, StatusDone)
+		if m := metricsMap(t, ts); m["store_errors_total"] != 2 {
+			t.Fatalf("store_errors_total = %v, want 2 (result read, checkpoint read)", m["store_errors_total"])
+		}
+	})
 }

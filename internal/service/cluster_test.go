@@ -6,6 +6,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"io"
 	"net/http"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"testing"
 
 	"spp1000/internal/experiments"
+	"spp1000/internal/faultinject"
 	"spp1000/internal/store"
 )
 
@@ -116,8 +118,8 @@ func TestPeerFetchHookServesWithoutRunning(t *testing.T) {
 		t.Fatalf("jobs_done_total = %v, want 1", m["jobs_done_total"])
 	}
 
-	// The peer payload entered the write-through cache: a resubmit
-	// dedups at the job table without consulting the peer again.
+	// The peer payload is now the job's result: a resubmit dedups at
+	// the job table without consulting the peer again.
 	if _, code := submit(t, ts, seedBody(1)); code != http.StatusOK {
 		t.Fatalf("resubmit: %d, want 200", code)
 	}
@@ -206,5 +208,91 @@ func TestStoreExportValidation(t *testing.T) {
 	}
 	if val, ok := store.Decode(data); !ok || val != "payload" {
 		t.Fatalf("exported frame decodes (%v) to %q, want \"payload\"", ok, val)
+	}
+}
+
+// TestStoreExportHasNoSideEffects pins the export endpoint's contract
+// for peers: it serves a done job's result from the table and a key
+// only the durable store holds, reads a failing store as absent (404,
+// the prober recomputes), and moves no /metrics counter and records no
+// job — a fleet of peers probing this node must not distort its books.
+func TestStoreExportHasNoSideEffects(t *testing.T) {
+	st, err := store.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	durableKey, err := SubmitKey([]byte(seedBody(21)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(durableKey, "durable"); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Store: st, Run: func(ctx context.Context, spec experiments.Spec) (string, error) {
+		return "payload", nil
+	}})
+	v, _ := submit(t, ts, seedBody(20))
+	waitStatus(t, ts, v.ID, StatusDone)
+
+	export := func(key string) (int, string) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/store/" + key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			return resp.StatusCode, ""
+		}
+		val, ok := store.Decode(data)
+		if !ok {
+			t.Fatalf("export of %s is not a valid frame", key)
+		}
+		return resp.StatusCode, val
+	}
+	stable := func(m map[string]float64) map[string]float64 {
+		delete(m, "uptime_seconds")
+		delete(m, "sim_cycles_per_wall_second")
+		return m
+	}
+	before := stable(metricsMap(t, ts))
+	jobsBefore := len(tsJobs(t, ts))
+
+	if code, val := export(v.ID); code != http.StatusOK || val != "payload" {
+		t.Fatalf("export of done job = %d %q", code, val)
+	}
+	if code, val := export(durableKey); code != http.StatusOK || val != "durable" {
+		t.Fatalf("export of store-only key = %d %q", code, val)
+	}
+	if code, _ := export(strings.Repeat("0", 64)); code != http.StatusNotFound {
+		t.Fatalf("export of absent key = %d, want 404", code)
+	}
+	disarm := faultinject.Arm(faultinject.StoreRead, func(...string) error {
+		return errors.New("injected read failure")
+	})
+	t.Cleanup(disarm)
+	if code, _ := export(durableKey); code != http.StatusNotFound {
+		t.Fatalf("export under a store read fault = %d, want 404", code)
+	}
+	if code, val := export(v.ID); code != http.StatusOK || val != "payload" {
+		t.Fatalf("export of done job under a store read fault = %d %q", code, val)
+	}
+	disarm()
+
+	after := stable(metricsMap(t, ts))
+	for name, was := range before {
+		if after[name] != was {
+			t.Errorf("export moved %s: %v -> %v", name, was, after[name])
+		}
+	}
+	if len(after) != len(before) {
+		t.Errorf("export changed the metric set: %d -> %d names", len(before), len(after))
+	}
+	if n := len(tsJobs(t, ts)); n != jobsBefore {
+		t.Errorf("export recorded jobs: %d -> %d", jobsBefore, n)
 	}
 }

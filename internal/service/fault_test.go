@@ -215,7 +215,7 @@ func TestKillAndRestartServesFromStore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Second life: fresh server, fresh cache, same directory.
+	// Second life: fresh server, empty job table, same directory.
 	st2, err := store.Open(dir, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -241,9 +241,9 @@ func TestKillAndRestartServesFromStore(t *testing.T) {
 		t.Fatalf("X-Sppd-Cached = %q", resp.Header.Get("X-Sppd-Cached"))
 	}
 	m := metricsMap(t, ts2)
-	if m["store_hits_total"] != 1 || m["cache_hits_total"] != 1 || m["jobs_done_total"] != 1 {
-		t.Fatalf("second-life metrics = store %v cache %v done %v, want 1/1/1",
-			m["store_hits_total"], m["cache_hits_total"], m["jobs_done_total"])
+	if m["store_hits_total"] != 1 || m["jobs_done_cached_total"] != 1 || m["jobs_done_total"] != 1 {
+		t.Fatalf("second-life metrics = store %v done_cached %v done %v, want 1/1/1",
+			m["store_hits_total"], m["jobs_done_cached_total"], m["jobs_done_total"])
 	}
 	if hs := st2.Stats(); hs.Hits != 1 {
 		t.Fatalf("store stats = %+v, want 1 hit", hs)
@@ -292,7 +292,7 @@ func TestTornStoreWriteRecomputedNotServed(t *testing.T) {
 	}
 	done := waitStatus(t, ts2, v2.ID, StatusDone)
 	if done.Cached {
-		t.Fatal("torn entry was served as a cache hit")
+		t.Fatal("torn entry was served as a stored result")
 	}
 	res, resp := getResult(t, ts2, v2.ID)
 	if resp.StatusCode != http.StatusOK || res != "the one true result" {
@@ -317,4 +317,97 @@ func TestTornStoreWriteRecomputedNotServed(t *testing.T) {
 	if runs.Load() != 2 {
 		t.Fatalf("third life re-ran (runs=%d)", runs.Load())
 	}
+}
+
+// TestFaultInjectedStoreFailuresDegrade: a failing durable store costs
+// durability or a recompute, never a job. A failed read of a stored key
+// recomputes it; a failed write still finishes the job with the right
+// result, and only a later daemon life pays for the lost entry. Each
+// failure is one sppd_store_errors_total.
+func TestFaultInjectedStoreFailuresDegrade(t *testing.T) {
+	body := seedBody(11)
+	key, err := SubmitKey([]byte(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs atomic.Int64
+	runFn := func(ctx context.Context, spec experiments.Spec) (string, error) {
+		runs.Add(1)
+		return "the one true result", nil
+	}
+
+	t.Run("read", func(t *testing.T) {
+		st, err := store.Open(t.TempDir(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Put(key, "the one true result"); err != nil {
+			t.Fatal(err)
+		}
+		_, ts := newTestServer(t, Config{Store: st, Run: runFn})
+		disarm := faultinject.Arm(faultinject.StoreRead, func(...string) error {
+			return errors.New("injected read failure")
+		})
+		t.Cleanup(disarm)
+
+		runs.Store(0)
+		v, code := submit(t, ts, body)
+		if code != http.StatusAccepted || v.Cached {
+			t.Fatalf("submit over failing read = %d cached %v, want 202 uncached", code, v.Cached)
+		}
+		done := waitStatus(t, ts, v.ID, StatusDone)
+		if done.Cached || runs.Load() != 1 {
+			t.Fatalf("cached %v runs %d, want a fresh recompute", done.Cached, runs.Load())
+		}
+		m := metricsMap(t, ts)
+		if m["store_errors_total"] != 1 || m["store_hits_total"] != 0 {
+			t.Fatalf("store errors %v hits %v, want 1/0", m["store_errors_total"], m["store_hits_total"])
+		}
+	})
+
+	t.Run("write", func(t *testing.T) {
+		dir := t.TempDir()
+		st1, err := store.Open(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		disarm := faultinject.Arm(faultinject.StoreWrite, func(...string) error {
+			return errors.New("injected write failure")
+		})
+		t.Cleanup(disarm)
+		s1 := New(Config{Store: st1, Run: runFn})
+		ts1 := httptest.NewServer(s1.Handler())
+		runs.Store(0)
+		v1, _ := submit(t, ts1, body)
+		waitStatus(t, ts1, v1.ID, StatusDone)
+		res, resp := getResult(t, ts1, v1.ID)
+		if resp.StatusCode != http.StatusOK || res != "the one true result" {
+			t.Fatalf("result over failing write = %d %q", resp.StatusCode, res)
+		}
+		if m := metricsMap(t, ts1); m["store_errors_total"] != 1 {
+			t.Fatalf("store_errors_total = %v, want 1", m["store_errors_total"])
+		}
+		ts1.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := s1.Shutdown(ctx); err != nil {
+			t.Fatal(err)
+		}
+		disarm()
+
+		// The entry never reached disk, so the next life recomputes.
+		st2, err := store.Open(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, ts2 := newTestServer(t, Config{Store: st2, Run: runFn})
+		v2, code := submit(t, ts2, body)
+		if code != http.StatusAccepted || v2.Cached {
+			t.Fatalf("second-life submit = %d cached %v, want 202 uncached", code, v2.Cached)
+		}
+		waitStatus(t, ts2, v2.ID, StatusDone)
+		if runs.Load() != 2 {
+			t.Fatalf("runs = %d, want 2 (first life + recompute)", runs.Load())
+		}
+	})
 }

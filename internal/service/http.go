@@ -49,18 +49,25 @@ func (s *Server) Handler() http.Handler {
 }
 
 // handleStoreExport serves one content-addressed result in the store's
-// CRC32-framed entry encoding — the cluster's peer-fetch payload. It is
-// a pure peek: no cache statistics move, nothing is promoted, so peers
-// probing for entries cannot distort this backend's hit ratio. Unknown
-// keys are 404 (the prober recomputes); malformed keys are 400 — they
-// could never have been minted by Spec.Key, so the request is a bug.
+// CRC32-framed entry encoding — the cluster's peer-fetch payload: a
+// done job's result from the table, else the durable store's entry. It
+// is a pure peek: no counter moves and no job is recorded, so peers
+// probing for entries cannot distort this backend's books. Unknown keys
+// and store read failures are 404 (the prober recomputes); malformed
+// keys are 400 — they could never have been minted by Spec.Key, so the
+// request is a bug.
 func (s *Server) handleStoreExport(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if !store.ValidKey(key) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("malformed result key %q: want the lowercase-hex content address", key))
 		return
 	}
-	val, ok := s.cache.Peek(key)
+	val, _, err := s.Result(key)
+	ok := err == nil
+	if !ok && s.cfg.Store != nil {
+		// A read error reads as absent: the prober recomputes.
+		val, ok, _ = s.cfg.Store.Get(key)
+	}
 	if !ok {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("no store entry for %s", key))
 		return

@@ -18,11 +18,10 @@ func simCycles() int64 { return sim.TotalCycles() }
 // gauge divides the simulated cycles retired since the daemon started
 // by its wall uptime: simulated-cycles-per-wall-second is the
 // end-to-end figure of merit for the whole engine (kernel fast path ×
-// host parallelism × cache hits all move it).
+// host parallelism × job-table and store hits all move it).
 //
 //simlint:metrics-writer
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	cs := s.cache.Stats()
 	uptime := s.cfg.Now().Sub(s.started).Seconds()
 	cycles := simCycles() - s.startCycles
 	perSec := 0.0
@@ -46,13 +45,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p("jobs_timeout_total", "%d", s.timedout.Load())
 	p("jobs_checkpointed_total", "%d", s.checkpointed.Load())
 	p("queue_capacity", "%d", int64(s.cfg.QueueDepth))
-	p("cache_hits_total", "%d", cs.Hits)
-	p("cache_misses_total", "%d", cs.Misses)
-	p("cache_coalesced_total", "%d", cs.Coalesced)
-	p("cache_evictions_total", "%d", cs.Evictions)
-	p("cache_hit_ratio", "%.4f", cs.HitRatio())
-	p("store_hits_total", "%d", cs.BackingHits)
-	p("store_errors_total", "%d", cs.BackingErrors)
+	p("cache_misses_total", "%d", s.misses.Load())
+	p("store_hits_total", "%d", s.storeHits.Load())
+	p("store_errors_total", "%d", s.storeErrs.Load())
 	p("peer_hits_total", "%d", s.peerHits.Load())
 	p("busy_seconds_total", "%.3f", float64(s.busyNanos.Load())/1e9)
 	p("sim_cycles_total", "%d", cycles)

@@ -295,13 +295,13 @@ func TestMetricsReconcileConcurrent(t *testing.T) {
 		canceled:  cancelKeys,
 	}
 	e.check(t, m)
-	// Executions reconcile too: the cache recorded a miss for exactly
+	// Executions reconcile too: the daemon recorded a miss for exactly
 	// each run the stub saw (canceled-while-queued jobs never ran).
 	if int64(m["cache_misses_total"]) != runs.Load() {
 		t.Errorf("cache_misses_total = %v, runs = %d", m["cache_misses_total"], runs.Load())
 	}
-	if m["cache_hits_total"] != 0 {
-		t.Errorf("cache_hits_total = %v, want 0 (dedup happens at the job table)", m["cache_hits_total"])
+	if m["jobs_done_cached_total"] != 0 {
+		t.Errorf("jobs_done_cached_total = %v, want 0 (dedup happens at the job table)", m["jobs_done_cached_total"])
 	}
 	for _, v := range tsJobs(t, ts) {
 		if v.FinishedAt == "" {

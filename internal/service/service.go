@@ -4,9 +4,10 @@
 // full configuration (experiments.Spec.Key), queued onto a bounded queue,
 // and executed by a small worker pool that dispatches sweep points
 // through internal/runner. Because every job is a pure function of its
-// spec, identical submissions are served from the result cache or
-// coalesced onto the one in-flight run — the service's hot path is a
-// hash lookup, not a simulation.
+// spec, identical submissions join the one job-table record for their
+// key (in flight or done), and a result the table no longer holds is
+// read back from the durable store — the service's hot path is a hash
+// lookup, not a simulation.
 package service
 
 import (
@@ -23,8 +24,8 @@ import (
 	"spp1000/internal/counters"
 	"spp1000/internal/experiments"
 	"spp1000/internal/faultinject"
-	"spp1000/internal/resultcache"
 	"spp1000/internal/snapshot"
+	"spp1000/internal/store"
 )
 
 // RunFunc executes one normalized spec and returns its rendered result.
@@ -104,12 +105,9 @@ type Config struct {
 	// default is 1; raising it trades per-job latency for throughput
 	// when jobs are small.
 	Workers int
-	// CacheCapacity bounds the completed results kept for reuse
-	// (oldest-first eviction). 0 means unbounded. Default 256.
-	CacheCapacity int
 	// MaxJobs bounds the job table; the oldest finished jobs are pruned
-	// beyond it (their results stay in the cache until evicted there).
-	// Default 1024.
+	// beyond it. A pruned job's result is served from the durable store
+	// if it holds one, and recomputed otherwise. Default 1024.
 	MaxJobs int
 	// Run executes a job. Tests substitute stubs here; when both Run and
 	// RunCheckpointed are nil the daemon defaults to the checkpointing
@@ -129,12 +127,12 @@ type Config struct {
 	// A submission's own timeout (the API's "timeout" field) overrides
 	// this per job.
 	JobTimeout time.Duration
-	// Store is the optional durable result store layered under the
-	// in-memory cache (see internal/store): completed results are
-	// written through to it, and a restarted daemon pointed at the same
-	// store serves prior results as cache hits with no simulation run.
-	// nil (the default) keeps results memory-only.
-	Store resultcache.Backing
+	// Store is the optional durable result store: completed results are
+	// written to it, and a submission the job table cannot answer reads
+	// it first — so a restarted daemon pointed at the same store serves
+	// prior results with no simulation run. nil (the default) keeps
+	// results in the job table only.
+	Store *store.Store
 	// ID names this daemon in a sppgw cluster. When set it is echoed as
 	// the "backend" field of every job view and as the X-Spp-Backend
 	// response header, so a misrouted request — a key the ring says
@@ -164,9 +162,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers <= 0 {
 		c.Workers = 1
-	}
-	if c.CacheCapacity == 0 {
-		c.CacheCapacity = 256
 	}
 	if c.MaxJobs <= 0 {
 		c.MaxJobs = 1024
@@ -217,7 +212,7 @@ type job struct {
 
 	// guarded by Server.mu
 	status     Status
-	cached     bool // result served from cache, no simulation run
+	cached     bool // result served from the store or a peer, no simulation run
 	result     string
 	counters   map[string]int64 // flattened PMU snapshot of the run
 	checkpoint []byte           // encoded completed-prefix checkpoint; survives re-arm
@@ -234,8 +229,7 @@ type job struct {
 // Server owns the job table, the bounded queue, and the worker pool.
 // Create with New; it is ready (workers running) on return.
 type Server struct {
-	cfg   Config
-	cache *resultcache.Cache
+	cfg Config
 
 	mu       sync.Mutex
 	jobs     map[string]*job
@@ -266,6 +260,9 @@ type Server struct {
 	queuedN      atomic.Int64 // gauge
 	runningN     atomic.Int64 // gauge
 	busyNanos    atomic.Int64 // summed wall time of job executions
+	misses       atomic.Int64 // jobs that reached the compute step (cache_misses_total)
+	storeHits    atomic.Int64 // submissions answered by the durable store
+	storeErrs    atomic.Int64 // durable-store failures degraded around
 }
 
 // New starts a server with cfg's worker pool running.
@@ -273,7 +270,6 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:         cfg,
-		cache:       resultcache.NewWithBacking(cfg.CacheCapacity, cfg.Store),
 		jobs:        make(map[string]*job),
 		queue:       make(chan *job, cfg.QueueDepth),
 		started:     cfg.Now(),
@@ -310,9 +306,9 @@ var ErrDraining = errors.New("server is draining")
 //   - the identical job failed, was canceled, or timed out: it is
 //     re-armed and enqueued again (deterministic simulations don't fail
 //     flakily, but cancellation and deadlines are routine).
-//   - the result is known to the cache or the durable store with no
-//     live job (the job table was pruned, or the daemon restarted): a
-//     completed job record is synthesized from it, with no simulation.
+//   - the result is known to the durable store with no live job (the
+//     job table was pruned, or the daemon restarted): a completed job
+//     record is synthesized from it, with no simulation.
 func (s *Server) Submit(spec experiments.Spec, timeout time.Duration) (JobView, error) {
 	key := spec.Key()
 	if timeout <= 0 {
@@ -367,10 +363,9 @@ func (s *Server) Submit(spec experiments.Spec, timeout time.Duration) (JobView, 
 	}
 
 	j := &job{id: key, spec: spec, timeout: timeout, submitted: s.cfg.Now()}
-	if res, ok := s.cache.Lookup(key); ok {
-		// Result known from an earlier (since-pruned) job or from the
-		// durable store of a previous daemon life: serve it without
-		// queueing anything. Lookup counts this as the cache hit it is.
+	if res, ok := s.storeGet(key); ok {
+		// Result known from an earlier (since-pruned) job or from a
+		// previous daemon life: serve it without queueing anything.
 		j.status = StatusDone
 		j.cached = true
 		j.result = res
@@ -392,6 +387,23 @@ func (s *Server) Submit(spec experiments.Spec, timeout time.Duration) (JobView, 
 	s.queuedN.Add(1)
 	s.insertLocked(j)
 	return s.viewLocked(j), nil
+}
+
+// storeGet reads key's result from the durable store, counting a hit
+// or a failure. A failed read is a miss: the job is recomputed.
+func (s *Server) storeGet(key string) (string, bool) {
+	if s.cfg.Store == nil {
+		return "", false
+	}
+	val, ok, err := s.cfg.Store.Get(key)
+	switch {
+	case err != nil:
+		s.storeErrs.Add(1)
+		return "", false
+	case ok:
+		s.storeHits.Add(1)
+	}
+	return val, ok
 }
 
 // insertLocked records j and prunes the oldest finished jobs beyond
@@ -445,7 +457,11 @@ func (s *Server) runJob(j *job) {
 	// durable store's copy. Corrupt or mismatched bytes are filtered by
 	// the runner, never trusted.
 	if s.cfg.RunCheckpointed != nil && prior == nil && s.cfg.Store != nil {
-		if val, ok, err := s.cfg.Store.Get(checkpointKey(j.id)); err == nil && ok {
+		val, ok, err := s.cfg.Store.Get(checkpointKey(j.id))
+		switch {
+		case err != nil:
+			s.storeErrs.Add(1)
+		case ok:
 			prior = []byte(val)
 		}
 	}
@@ -464,40 +480,24 @@ func (s *Server) runJob(j *job) {
 	// Attribution is exact at the default Workers=1; with concurrent
 	// jobs, each collector sees the union of whatever ran during its
 	// window (the /metrics aggregate stays exact either way). A
-	// cache-hit or coalesced job runs no simulation, so its snapshot is
-	// empty or partial by design.
+	// peer-fetched job runs no simulation, so its snapshot is empty.
 	jobCol := counters.NewCollector()
 	counters.Attach(jobCol)
-	// peerFetched and partial are written only inside fn, which Do runs
-	// synchronously on this goroutine (followers coalesce, they never
-	// call fn), so plain variables are race-free.
-	peerFetched := false
-	var partial []byte
-	res, outcome, err := s.cache.Do(runCtx, j.id, func() (string, error) {
-		// Test-only fault injection: the fault-matrix suite arms this
-		// point to delay runs (filling the queue) or fail them.
-		if err := faultinject.Fire(faultinject.RunStart, j.id); err != nil {
-			return "", err
-		}
-		// Cluster warm path: a key that re-hashed onto this backend may
-		// already be computed on its previous ring owner — copy the
-		// entry instead of re-simulating. The returned value flows
-		// through the cache's write-through, so the entry migrates into
-		// this backend's own store and the next hit is purely local.
-		if pf := s.cfg.PeerFetch; pf != nil {
-			if val, ok := pf(runCtx, j.id); ok {
-				peerFetched = true
-				return val, nil
-			}
-		}
-		if s.cfg.RunCheckpointed != nil {
-			out, part, rerr := s.cfg.RunCheckpointed(runCtx, j.spec, prior, s.saveCheckpoint(j))
-			partial = part
-			return out, rerr
-		}
-		return s.cfg.Run(runCtx, j.spec)
-	})
+	s.misses.Add(1)
+	res, partial, peerFetched, err := s.execute(runCtx, j, prior)
 	counters.Detach(jobCol)
+	if err == nil && s.cfg.Store != nil {
+		// Persist the result, then drop the resume checkpoint it
+		// supersedes: a stale checkpoint would squat store capacity
+		// forever, since it is never read once the job is done. A
+		// failed write leaves the result in the job table only.
+		if perr := s.cfg.Store.Put(j.id, res); perr != nil {
+			s.storeErrs.Add(1)
+		}
+		if derr := s.cfg.Store.Delete(checkpointKey(j.id)); derr != nil {
+			s.storeErrs.Add(1)
+		}
+	}
 
 	s.runningN.Add(-1)
 	s.mu.Lock()
@@ -508,25 +508,16 @@ func (s *Server) runJob(j *job) {
 	case err == nil:
 		j.status = StatusDone
 		j.result = res
-		j.cached = outcome == resultcache.Hit || peerFetched
+		j.cached = peerFetched
 		j.checkpoint = nil // complete: the resume state is spent
-		// Drop the durable copy too — the result entry supersedes it, and
-		// a stale checkpoint would squat store capacity forever (it can
-		// never be read back once the job is done). Delete is a store
-		// capability, not part of the cache-facing Backing contract.
-		if st, ok := s.cfg.Store.(interface{ Delete(string) error }); ok {
-			_ = st.Delete(checkpointKey(j.id))
-		}
 		if !j.cached {
 			if flat := jobCol.Snapshot().Flatten(); len(flat) > 0 {
 				j.counters = flat
 			}
 		}
 		s.done.Add(1)
-		if j.cached {
-			s.doneCached.Add(1)
-		}
 		if peerFetched {
+			s.doneCached.Add(1)
 			s.peerHits.Add(1)
 		}
 	case errors.Is(err, context.DeadlineExceeded) && len(partial) > 0:
@@ -556,6 +547,31 @@ func (s *Server) runJob(j *job) {
 	}
 }
 
+// execute runs j once: a cluster peer's copy of the result if one
+// answers, else the checkpointing or plain runner.
+func (s *Server) execute(ctx context.Context, j *job, prior []byte) (res string, partial []byte, peerFetched bool, err error) {
+	// Test-only fault injection: the fault-matrix suite arms this point
+	// to delay runs (filling the queue) or fail them.
+	if err := faultinject.Fire(faultinject.RunStart, j.id); err != nil {
+		return "", nil, false, err
+	}
+	// Cluster warm path: a key that re-hashed onto this backend may
+	// already be computed on its previous ring owner — copy the entry
+	// instead of re-simulating. runJob writes it to this backend's own
+	// store, so the next restart serves it locally.
+	if pf := s.cfg.PeerFetch; pf != nil {
+		if val, ok := pf(ctx, j.id); ok {
+			return val, nil, true, nil
+		}
+	}
+	if s.cfg.RunCheckpointed != nil {
+		res, partial, err = s.cfg.RunCheckpointed(ctx, j.spec, prior, s.saveCheckpoint(j))
+		return res, partial, false, err
+	}
+	res, err = s.cfg.Run(ctx, j.spec)
+	return res, nil, false, err
+}
+
 // checkpointKey derives the durable-store key holding a job's resume
 // checkpoint: a distinct content address in the same namespace as the
 // result entries (lowercase hex, so store.ValidKey accepts it), derived
@@ -569,8 +585,9 @@ func checkpointKey(id string) string {
 // checkpointing runner: each checkpoint replaces the job's in-memory
 // resume state and, when a durable store is configured, its on-disk copy
 // — so both a resubmission and a daemon restart resume from the latest
-// boundary. A store write failure is tolerated (the in-memory copy still
-// advances); durability degrades, the run does not abort.
+// boundary. A store write failure is counted and tolerated (the
+// in-memory copy still advances); durability degrades, the run does not
+// abort.
 func (s *Server) saveCheckpoint(j *job) func([]byte) error {
 	return func(b []byte) error {
 		cp := append([]byte(nil), b...)
@@ -578,7 +595,9 @@ func (s *Server) saveCheckpoint(j *job) func([]byte) error {
 		j.checkpoint = cp
 		s.mu.Unlock()
 		if st := s.cfg.Store; st != nil {
-			_ = st.Put(checkpointKey(j.id), string(cp))
+			if err := st.Put(checkpointKey(j.id), string(cp)); err != nil {
+				s.storeErrs.Add(1)
+			}
 		}
 		return nil
 	}
@@ -702,8 +721,8 @@ type JobView struct {
 	ID          string   `json:"id"`
 	Experiments []string `json:"experiments"`
 	Status      string   `json:"status"`
-	// Cached is true when the result came from the content-addressed
-	// cache rather than a fresh simulation.
+	// Cached is true when the result came from the job table, the
+	// durable store or a cluster peer rather than a fresh simulation.
 	Cached bool   `json:"cached"`
 	Error  string `json:"error,omitempty"`
 	// Backend is the cluster identity (Config.ID / sppd -id) of the
@@ -716,8 +735,8 @@ type JobView struct {
 	FinishedAt  string `json:"finishedAt,omitempty"`
 	// Counters is the flattened PMU snapshot of this job's simulations
 	// ("group.counter" → value), present once the job is done. Empty for
-	// cache-served jobs — they ran nothing. Attribution is exact at the
-	// daemon's default Workers=1; see docs/OBSERVABILITY.md.
+	// store- or peer-served jobs — they ran nothing. Attribution is exact
+	// at the daemon's default Workers=1; see docs/OBSERVABILITY.md.
 	Counters map[string]int64 `json:"counters,omitempty"`
 }
 

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"spp1000/internal/experiments"
+	"spp1000/internal/store"
 )
 
 // newTestServer wires a Server with the given RunFunc to a live
@@ -120,6 +121,55 @@ func TestSubmitTwiceServesFromCache(t *testing.T) {
 	}
 	if n := runs.Load(); n != 1 {
 		t.Fatalf("simulation ran %d times, want 1", n)
+	}
+}
+
+// TestPrunedJobServedFromStore: the job table is the only in-memory
+// result holder. Once a finished job is pruned from it, a resubmission
+// reads the durable store when there is one, and recomputes otherwise.
+func TestPrunedJobServedFromStore(t *testing.T) {
+	for _, durable := range []bool{true, false} {
+		t.Run(fmt.Sprintf("store=%v", durable), func(t *testing.T) {
+			var runs atomic.Int64
+			cfg := Config{MaxJobs: 1, Run: func(ctx context.Context, spec experiments.Spec) (string, error) {
+				runs.Add(1)
+				return fmt.Sprintf("seed %d", spec.Options.Seed), nil
+			}}
+			if durable {
+				st, err := store.Open(t.TempDir(), 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Store = st
+			}
+			_, ts := newTestServer(t, cfg)
+			a, _ := submit(t, ts, seedBody(1))
+			waitStatus(t, ts, a.ID, StatusDone)
+			b, _ := submit(t, ts, seedBody(2)) // prunes a
+			waitStatus(t, ts, b.ID, StatusDone)
+			if _, err := tsJob(ts, a.ID); err == nil {
+				t.Fatal("job a was not pruned from a one-entry table")
+			}
+
+			again, code := submit(t, ts, seedBody(1))
+			wantCode, wantRuns, wantHits := http.StatusAccepted, int64(3), 0.0
+			if durable {
+				wantCode, wantRuns, wantHits = http.StatusOK, 2, 1
+			}
+			if code != wantCode || again.Cached != durable {
+				t.Fatalf("resubmit of pruned job = %d cached %v, want %d cached %v", code, again.Cached, wantCode, durable)
+			}
+			waitStatus(t, ts, a.ID, StatusDone)
+			if res, _ := getResult(t, ts, a.ID); res != "seed 1" {
+				t.Fatalf("result = %q", res)
+			}
+			if runs.Load() != wantRuns {
+				t.Fatalf("runs = %d, want %d", runs.Load(), wantRuns)
+			}
+			if m := metricsMap(t, ts); m["store_hits_total"] != wantHits {
+				t.Fatalf("store_hits_total = %v, want %v", m["store_hits_total"], wantHits)
+			}
+		})
 	}
 }
 
@@ -400,11 +450,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		"sppd_jobs_done_total 1",
 		"sppd_cache_misses_total 1",
 		"sppd_sim_cycles_per_wall_second ",
-		"sppd_cache_hit_ratio ",
 		"sppd_uptime_seconds ",
 		"sppd_queue_capacity ",
 		"sppd_busy_seconds_total ",
-		"sppd_cache_evictions_total 0",
 		"sppd_store_errors_total 0",
 	} {
 		if !strings.Contains(text, want) {

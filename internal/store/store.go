@@ -2,7 +2,7 @@
 // so the daemon survives restarts: every result in this repository is a
 // pure function of its spec's canonical hash (experiments.Spec.Key), so
 // a byte payload written once under that key is correct forever and a
-// freshly started sppd can serve it as a cache hit without simulating.
+// freshly started sppd can serve it without simulating.
 //
 // The layout is one file per key — `<key>.res` under the store
 // directory — written via temp-file-plus-atomic-rename so readers never
