@@ -9,6 +9,7 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -211,79 +212,58 @@ func TestStoreExportValidation(t *testing.T) {
 	}
 }
 
-// TestStoreExportHasNoSideEffects pins the export endpoint's contract
-// for peers: it serves a done job's result from the table and a key
-// only the durable store holds, reads a failing store as absent (404,
-// the prober recomputes), and moves no /metrics counter and records no
-// job — a fleet of peers probing this node must not distort its books.
-func TestStoreExportHasNoSideEffects(t *testing.T) {
+// exportKey fetches key through GET /v1/store/{key} and returns the
+// status and, on 200, the decoded frame.
+func exportKey(t *testing.T, ts *httptest.Server, key string) (int, string) {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/v1/store/" + key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		return resp.StatusCode, ""
+	}
+	val, ok := store.Decode(data)
+	if !ok {
+		t.Fatalf("export of %s is not a valid frame", key)
+	}
+	return resp.StatusCode, val
+}
+
+// exportFixture starts a daemon whose table holds one done job
+// ("payload") and whose store alone holds a second key ("durable"),
+// and returns the server with both keys.
+func exportFixture(t *testing.T) (ts *httptest.Server, doneKey, durableKey string) {
+	t.Helper()
 	st, err := store.Open(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	durableKey, err := SubmitKey([]byte(seedBody(21)))
+	durableKey, err = SubmitKey([]byte(seedBody(21)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Put(durableKey, "durable"); err != nil {
 		t.Fatal(err)
 	}
-	_, ts := newTestServer(t, Config{Store: st, Run: func(ctx context.Context, spec experiments.Spec) (string, error) {
+	_, ts = newTestServer(t, Config{Store: st, Run: func(ctx context.Context, spec experiments.Spec) (string, error) {
 		return "payload", nil
 	}})
 	v, _ := submit(t, ts, seedBody(20))
 	waitStatus(t, ts, v.ID, StatusDone)
+	return ts, v.ID, durableKey
+}
 
-	export := func(key string) (int, string) {
-		t.Helper()
-		resp, err := http.Get(ts.URL + "/v1/store/" + key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		data, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			return resp.StatusCode, ""
-		}
-		val, ok := store.Decode(data)
-		if !ok {
-			t.Fatalf("export of %s is not a valid frame", key)
-		}
-		return resp.StatusCode, val
-	}
-	stable := func(m map[string]float64) map[string]float64 {
-		delete(m, "uptime_seconds")
-		delete(m, "sim_cycles_per_wall_second")
-		return m
-	}
-	before := stable(metricsMap(t, ts))
-	jobsBefore := len(tsJobs(t, ts))
-
-	if code, val := export(v.ID); code != http.StatusOK || val != "payload" {
-		t.Fatalf("export of done job = %d %q", code, val)
-	}
-	if code, val := export(durableKey); code != http.StatusOK || val != "durable" {
-		t.Fatalf("export of store-only key = %d %q", code, val)
-	}
-	if code, _ := export(strings.Repeat("0", 64)); code != http.StatusNotFound {
-		t.Fatalf("export of absent key = %d, want 404", code)
-	}
-	disarm := faultinject.Arm(faultinject.StoreRead, func(...string) error {
-		return errors.New("injected read failure")
-	})
-	t.Cleanup(disarm)
-	if code, _ := export(durableKey); code != http.StatusNotFound {
-		t.Fatalf("export under a store read fault = %d, want 404", code)
-	}
-	if code, val := export(v.ID); code != http.StatusOK || val != "payload" {
-		t.Fatalf("export of done job under a store read fault = %d %q", code, val)
-	}
-	disarm()
-
-	after := stable(metricsMap(t, ts))
+// assertExportLeftNoTrace checks that every /metrics counter and the
+// job count are where they were before the exports.
+func assertExportLeftNoTrace(t *testing.T, ts *httptest.Server, before map[string]float64, jobsBefore int) {
+	t.Helper()
+	after := stableMetrics(metricsMap(t, ts))
 	for name, was := range before {
 		if after[name] != was {
 			t.Errorf("export moved %s: %v -> %v", name, was, after[name])
@@ -295,4 +275,58 @@ func TestStoreExportHasNoSideEffects(t *testing.T) {
 	if n := len(tsJobs(t, ts)); n != jobsBefore {
 		t.Errorf("export recorded jobs: %d -> %d", jobsBefore, n)
 	}
+}
+
+// stableMetrics drops the gauges that move with wall time alone.
+func stableMetrics(m map[string]float64) map[string]float64 {
+	delete(m, "uptime_seconds")
+	delete(m, "sim_cycles_per_wall_second")
+	return m
+}
+
+// TestStoreExportHasNoSideEffects pins the export endpoint's contract
+// for peers: it serves a done job's result from the table and a key
+// only the durable store holds, answers 404 for an absent key, and
+// moves no /metrics counter and records no job — a fleet of peers
+// probing this node must not distort its books.
+func TestStoreExportHasNoSideEffects(t *testing.T) {
+	ts, doneKey, durableKey := exportFixture(t)
+	before := stableMetrics(metricsMap(t, ts))
+	jobsBefore := len(tsJobs(t, ts))
+
+	if code, val := exportKey(t, ts, doneKey); code != http.StatusOK || val != "payload" {
+		t.Fatalf("export of done job = %d %q", code, val)
+	}
+	if code, val := exportKey(t, ts, durableKey); code != http.StatusOK || val != "durable" {
+		t.Fatalf("export of store-only key = %d %q", code, val)
+	}
+	if code, _ := exportKey(t, ts, strings.Repeat("0", 64)); code != http.StatusNotFound {
+		t.Fatalf("export of absent key = %d, want 404", code)
+	}
+
+	assertExportLeftNoTrace(t, ts, before, jobsBefore)
+}
+
+// TestStoreExportReadFaultReadsAsAbsent: a failing store makes a peer
+// probe miss (404, the prober recomputes), never fail, and counts no
+// store error — the export is side-effect free even when the disk is
+// not. A done job is still served from the table.
+func TestStoreExportReadFaultReadsAsAbsent(t *testing.T) {
+	ts, doneKey, durableKey := exportFixture(t)
+	before := stableMetrics(metricsMap(t, ts))
+	jobsBefore := len(tsJobs(t, ts))
+
+	disarm := faultinject.Arm(faultinject.StoreRead, func(...string) error {
+		return errors.New("injected read failure")
+	})
+	t.Cleanup(disarm)
+	if code, _ := exportKey(t, ts, durableKey); code != http.StatusNotFound {
+		t.Fatalf("export under a store read fault = %d, want 404", code)
+	}
+	if code, val := exportKey(t, ts, doneKey); code != http.StatusOK || val != "payload" {
+		t.Fatalf("export of done job under a store read fault = %d %q", code, val)
+	}
+	disarm()
+
+	assertExportLeftNoTrace(t, ts, before, jobsBefore)
 }
