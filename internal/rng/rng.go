@@ -57,25 +57,48 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// NormFloat64 returns a standard normal variate (Box–Muller).
+// NormFloat64 returns a standard normal variate (Box–Muller, polar
+// form). Each accepted pair gives two variates; the second is cached
+// for the next call.
 func (r *RNG) NormFloat64() float64 {
 	if r.normCached {
 		r.normCached = false
 		return r.normValue
 	}
-	var u, v, s float64
+	u, v, s := r.polar()
+	f := math.Sqrt(-2 * math.Log(s) / s)
+	r.normValue = v * f
+	r.normCached = true
+	return u * f
+}
+
+// polar draws points of the square [-1, 1)² until one falls strictly
+// inside the unit circle, and returns it with its squared radius s.
+func (r *RNG) polar() (u, v, s float64) {
 	for {
 		u = 2*r.Float64() - 1
 		v = 2*r.Float64() - 1
 		s = u*u + v*v
 		if s > 0 && s < 1 {
-			break
+			return u, v, s
 		}
 	}
-	f := math.Sqrt(-2 * math.Log(s) / s)
-	r.normValue = v * f
-	r.normCached = true
-	return u * f
+}
+
+// SkipNormals advances the generator exactly as k NormFloat64 calls
+// would, but transforms only a pair whose second variate it leaves
+// cached: a pair it consumes whole costs no log or square root.
+func (r *RNG) SkipNormals(k int) {
+	if k > 0 && r.normCached {
+		r.normCached = false
+		k--
+	}
+	for ; k >= 2; k -= 2 {
+		r.polar()
+	}
+	if k == 1 {
+		r.NormFloat64()
+	}
 }
 
 // Maxwellian returns a velocity component drawn from a Maxwellian of
