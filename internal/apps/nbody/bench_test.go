@@ -15,14 +15,22 @@ func BenchmarkNewPlummer(b *testing.B) {
 	}
 }
 
-// BenchmarkSortMorton Morton-orders a fresh copy of the 2M-body set.
+// BenchmarkPlummerPositions samples the 2M-body set without
+// velocities, as CountWorkload does.
+func BenchmarkPlummerPositions(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		plummerPositions(benchBodies, 1)
+	}
+}
+
+// BenchmarkSortMorton Morton-orders a fresh copy of the 2M-body
+// positions-only set.
 func BenchmarkSortMorton(b *testing.B) {
-	src := NewPlummer(benchBodies, 1)
+	src := plummerPositions(benchBodies, 1)
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		c := &Bodies{
 			X: slices.Clone(src.X), Y: slices.Clone(src.Y), Z: slices.Clone(src.Z),
-			VX: slices.Clone(src.VX), VY: slices.Clone(src.VY), VZ: slices.Clone(src.VZ),
 			M: slices.Clone(src.M),
 		}
 		b.StartTimer()
@@ -32,7 +40,7 @@ func BenchmarkSortMorton(b *testing.B) {
 
 // BenchmarkBuild builds the octree over the Morton-ordered 2M-body set.
 func BenchmarkBuild(b *testing.B) {
-	src := NewPlummer(benchBodies, 1)
+	src := plummerPositions(benchBodies, 1)
 	SortMorton(src)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -383,3 +383,242 @@ func TestBuildOctantsFitsPaperScale(t *testing.T) {
 		}
 	}
 }
+
+// refInsert is the insert every build used before insert resumed from
+// the last path: it descends from the root for every body and counts
+// every cell it passes. refBuildWhole builds with it.
+func refInsert(t *Tree, body int32) bool {
+	n := t.root
+	cx, cy, cz := t.cx, t.cy, t.cz
+	x, y, z := t.bodies.X, t.bodies.Y, t.bodies.Z
+	for {
+		nd := &t.nodes[n]
+		nd.count++
+		if nd.count == 1 {
+			// Empty root: take the body.
+			nd.body = body
+			return true
+		}
+		h := nd.half / 2
+		if nd.body >= 0 {
+			// Leaf node: push the resident body down into an inline
+			// leaf, unless the two coincide too closely to separate
+			// (give up splitting below a minimum cell size).
+			if nd.half < 1e-12 {
+				return true // degenerate: coincident points share the leaf's monopole
+			}
+			old := nd.body
+			nd.body = -1
+			nd.children[octant(cx, cy, cz, x[old], y[old], z[old])] = leafRef(old)
+			t.leaves++
+		}
+		// Internal: descend.
+		o := octant(cx, cy, cz, x[body], y[body], z[body])
+		c := nd.children[o]
+		if c == -1 {
+			nd.children[o] = leafRef(body)
+			t.leaves++
+			return true
+		}
+		if c < -1 {
+			// An inline leaf gets a second body: it becomes a leaf node,
+			// which the next pass splits.
+			child := t.newNode(h)
+			if child < 0 {
+				return false
+			}
+			t.nodes[n].children[o] = child // newNode may have reallocated
+			t.nodes[child].body = leafBody(c)
+			t.nodes[child].count = 1
+			t.leaves--
+			c = child
+		}
+		n = c
+		cx, cy, cz = childCenter(cx, cy, cz, h, o)
+	}
+}
+
+// refBuildWhole is buildWhole with refInsert. Its cell counts are the
+// ones refInsert kept, not the sums computeMoments writes.
+func refBuildWhole(b *Bodies) *Tree {
+	t, half := newTree(b)
+	t.nodes = make([]node, 0, nodeCapacity(b.N()))
+	t.newNode(half)
+	for i := range b.N() {
+		refInsert(t, int32(i))
+	}
+	counts := make([]int32, len(t.nodes))
+	for i := range t.nodes {
+		counts[i] = t.nodes[i].count
+	}
+	t.computeMoments(0)
+	for i := range t.nodes {
+		t.nodes[i].count = counts[i]
+	}
+	t.used = len(t.nodes)
+	return t
+}
+
+// sameNodes fails t unless the two node slices are equal field for
+// field, floats compared bitwise.
+func sameNodes(t *testing.T, name string, got, want []node) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d nodes, reference %d", name, len(got), len(want))
+	}
+	for i := range got {
+		g, w := got[i], want[i]
+		if g.children != w.children || g.body != w.body || g.count != w.count ||
+			math.Float64bits(g.half) != math.Float64bits(w.half) ||
+			math.Float64bits(g.mass) != math.Float64bits(w.mass) ||
+			math.Float64bits(g.comX) != math.Float64bits(w.comX) ||
+			math.Float64bits(g.comY) != math.Float64bits(w.comY) ||
+			math.Float64bits(g.comZ) != math.Float64bits(w.comZ) {
+			t.Fatalf("%s: node %d is %+v, reference %+v", name, i, g, w)
+		}
+	}
+}
+
+// onCentres is a set whose bodies lie on cell boundaries. For each of
+// a number of cells C it holds two bodies in C's lower octant (a cell
+// with two inline leaves) and then a body on the lower octant's
+// centre, moved on one axis onto C's centre. The last insert's path
+// then ends in a box whose upper bound on that axis is the third
+// body's coordinate, and the half-open box test must send it back up
+// to C. Two bodies at (-1,-1,-1) and (1,1,1) fix the root cell.
+func onCentres() *Bodies {
+	b := &Bodies{X: []float64{-1, 1}, Y: []float64{-1, 1}, Z: []float64{-1, 1}}
+	root, half := newTree(b)
+	r := rng.New(11)
+	for a := 0; a < 150; a++ {
+		c, h := [3]float64{root.cx, root.cy, root.cz}, half
+		for range 2 + r.Intn(6) {
+			h /= 2
+			c[0], c[1], c[2] = childCenter(c[0], c[1], c[2], h, r.Intn(8))
+		}
+		inside := true
+		for _, v := range c {
+			inside = inside && v-h >= -1 && v+h <= 1
+		}
+		if !inside {
+			continue
+		}
+		q := h / 2 // half side of C's lower octant
+		var p [3][3]float64
+		for k, v := range c {
+			p[0][k], p[1][k], p[2][k] = v-q-q/2, v-q+q/2, v-q
+		}
+		p[2][a%3] = c[a%3]
+		for _, v := range p {
+			b.X, b.Y, b.Z = append(b.X, v[0]), append(b.Y, v[1]), append(b.Z, v[2])
+		}
+	}
+	b.M = make([]float64, b.N())
+	for i := range b.M {
+		b.M[i] = 1 / float64(b.N())
+	}
+	return b
+}
+
+// insert resumes each descent from the last insert's path and counts
+// only leaf nodes, leaving computeMoments to sum the counts; the tree
+// must be the one the root-descent refInsert builds, node for node.
+// Morton order is the case the resume is for; the unsorted,
+// clustered, coincident and on-centre sets climb far, deep and to
+// exact box bounds.
+func TestInsertMatchesRootDescent(t *testing.T) {
+	sorted := NewPlummer(32768, 1)
+	SortMorton(sorted)
+	coincident := NewPlummer(2000, 4)
+	for i := 3; i < coincident.N(); i += 3 {
+		coincident.X[i], coincident.Y[i], coincident.Z[i] = coincident.X[0], coincident.Y[0], coincident.Z[0]
+	}
+	centres := onCentres()
+	if centres.N() < 100 {
+		t.Fatalf("onCentres made %d bodies, want at least 100", centres.N())
+	}
+	for _, set := range []struct {
+		name string
+		b    *Bodies
+	}{
+		{"morton", sorted}, {"unsorted", NewPlummer(20000, 2)}, {"clustered", clustered()},
+		{"coincident", coincident}, {"on-centres", centres},
+	} {
+		ref := refBuildWhole(set.b)
+		whole, half := newTree(set.b)
+		whole.buildWhole(half)
+		sameNodes(t, set.name, whole.nodes, ref.nodes)
+		if whole.NumNodes() != ref.NumNodes() {
+			t.Fatalf("%s: %d cells, reference %d", set.name, whole.NumNodes(), ref.NumNodes())
+		}
+		tr := Build(set.b)
+		if tr.NumNodes() != ref.NumNodes() {
+			t.Fatalf("%s: Build made %d cells, reference %d", set.name, tr.NumNodes(), ref.NumNodes())
+		}
+		sameTree(t, tr, ref, 0, 0)
+	}
+}
+
+// CountWorkload samples positions only; its workload must be the one
+// counted over the full NewPlummer bodies.
+func TestCountWorkloadPositionsOnly(t *testing.T) {
+	for _, n := range []int{32768, 262144} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			got := CountWorkload(n, 96, seed)
+			want := countBodies(NewPlummer(n, seed), 96)
+			if got.N != want.N || got.TreeNodes != want.TreeNodes || got.Visited != want.Visited ||
+				!slices.Equal(got.MicroBlocks, want.MicroBlocks) {
+				t.Fatalf("n=%d seed=%d: positions only %+v, full bodies %+v", n, seed, got, want)
+			}
+		}
+	}
+}
+
+// plummerPositions skips the velocity draws; at any pool width its
+// positions and masses must be bitwise the all-serial loop's, which
+// draws the velocities and drops them.
+func TestPlummerPositionsMatchesSerialLoop(t *testing.T) {
+	t.Cleanup(func() { runner.SetWorkers(0) })
+	const n = 200000 // several pool chunks
+	for _, seed := range []uint64{1, 2} {
+		r := rng.New(seed)
+		want := &Bodies{X: make([]float64, n), Y: make([]float64, n), Z: make([]float64, n), M: make([]float64, n)}
+		for i := 0; i < n; i++ {
+			u := r.Float64()
+			if u < 1e-10 {
+				u = 1e-10
+			}
+			rad := 1 / math.Sqrt(math.Pow(u, -2.0/3.0)-1)
+			if rad > 10 {
+				rad = 10
+			}
+			z := 2*r.Float64() - 1
+			phi := 2 * math.Pi * r.Float64()
+			s := math.Sqrt(1 - z*z)
+			want.X[i] = rad * s * math.Cos(phi)
+			want.Y[i] = rad * s * math.Sin(phi)
+			want.Z[i] = rad * z
+			for range 3 {
+				r.NormFloat64()
+			}
+			want.M[i] = 1.0 / float64(n)
+		}
+		for _, w := range []int{1, 4} {
+			runner.SetWorkers(w)
+			got := plummerPositions(n, seed)
+			if got.VX != nil || got.VY != nil || got.VZ != nil {
+				t.Fatalf("seed %d workers %d: plummerPositions drew velocities", seed, w)
+			}
+			for k, pair := range [][2][]float64{
+				{got.X, want.X}, {got.Y, want.Y}, {got.Z, want.Z}, {got.M, want.M},
+			} {
+				for i := range pair[0] {
+					if math.Float64bits(pair[0][i]) != math.Float64bits(pair[1][i]) {
+						t.Fatalf("seed %d workers %d: array %d body %d is %v, serial loop %v",
+							seed, w, k, i, pair[0][i], pair[1][i])
+					}
+				}
+			}
+		}
+	}
+}

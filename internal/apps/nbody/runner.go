@@ -52,11 +52,17 @@ const MinBodies = blocks
 // CountWorkload builds the problem, then measures per-block interaction
 // counts by traversing a sample of particles from each microblock and
 // scaling (documented sampling: the tree search cost is statistically
-// uniform within a spatial block). The blocks are sampled on the
-// runner pool; each writes only its own slot, so the counts do not
-// depend on the pool width.
+// uniform within a spatial block). No count reads a velocity, so the
+// bodies are sampled without them.
 func CountWorkload(n int, samplePerBlock int, seed uint64) *Workload {
-	b := NewPlummer(n, seed)
+	return countBodies(plummerPositions(n, seed), samplePerBlock)
+}
+
+// countBodies Morton-orders b, builds its tree and counts its workload.
+// The blocks are sampled on the runner pool; each writes only its own
+// slot, so the counts do not depend on the pool width.
+func countBodies(b *Bodies, samplePerBlock int) *Workload {
+	n := b.N()
 	SortMorton(b)
 	t := Build(b)
 	w := &Workload{N: n, TreeNodes: t.NumNodes(), MicroBlocks: make([]int64, blocks)}
