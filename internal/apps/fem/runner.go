@@ -1,3 +1,15 @@
+// Package fem models the paper's prototype finite-element gas dynamics
+// application (§5.2), which produces Fig. 7. It is a calibrated cost
+// model, not a solver: each thread's per-step cycles come from
+// per-element and per-point operation counts for the two codings Fig. 7
+// compares (gather-scatter and vector-style), calibrated to §5.2.2's
+// measured single-CPU rates (see docs/CALIBRATION.md), and from the
+// cache-line traffic of its Morton-ordered partition under one of two
+// data placements (near-shared on hypernode 0, as the paper ran, or
+// block-shared with each thread). The step loop keeps the paper's three
+// classes of global communication as three barriers per step: the
+// timestep maximum, the point-to-element gather, and the
+// element-to-point scatter-add.
 package fem
 
 import (
@@ -16,6 +28,22 @@ import (
 // (§5.2.2), used to express rates as "useful Mflop/s" regardless of how
 // many operations a particular coding actually spends.
 const UsefulFlopsPerPoint = 437
+
+// NVars is the number of conserved variables per point:
+// ρ, ρu, ρv, E.
+const NVars = 4
+
+// The paper's two datasets (§5.2.2). The small mesh in the paper has
+// 46 545 points / 92 160 elements; a 192×240 periodic structured
+// triangulation gives the same element count with 46 080 points (the
+// paper's mesh carries a few duplicated boundary points).
+// The large mesh matches exactly: 263 169 points is (512+1)², i.e. the
+// non-periodic point count of a 512×512 grid; periodic wrapping gives
+// 262 144 distinct points for the same 524 288 elements.
+var (
+	SmallGrid = [2]int{192, 240}
+	LargeGrid = [2]int{512, 512}
+)
 
 // Coding selects one of the two codings of the same numerics that
 // Fig. 7 compares.

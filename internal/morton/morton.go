@@ -1,24 +1,9 @@
-// Package morton implements Morton (Z-order) encoding in two and three
-// dimensions. The paper's FEM code orders mesh points and elements along
-// a Morton curve to improve cache locality of the gather/scatter phases
-// (§5.2.1, citing Warren & Salmon); the tree code uses 3-D keys for its
-// spatial hierarchy.
+// Package morton implements 3-D Morton (Z-order) encoding. The tree
+// code sorts its bodies by Morton key so that bodies close in space sit
+// close in memory, which gives the tree build and traversal their cache
+// locality (§5.2.1's ordering argument, citing Warren & Salmon, applied
+// to the tree code).
 package morton
-
-// spread2 inserts a zero bit between each of the low 16 bits.
-func spread2(x uint32) uint32 {
-	x &= 0xFFFF
-	x = (x | x<<8) & 0x00FF00FF
-	x = (x | x<<4) & 0x0F0F0F0F
-	x = (x | x<<2) & 0x33333333
-	x = (x | x<<1) & 0x55555555
-	return x
-}
-
-// Encode2 interleaves two 16-bit coordinates into a Z-order key.
-func Encode2(x, y uint32) uint64 {
-	return uint64(spread2(x)) | uint64(spread2(y))<<1
-}
 
 // spread3 inserts two zero bits between each of the low 21 bits.
 func spread3(x uint64) uint64 {
