@@ -28,18 +28,8 @@ func (s *slot) holds(key topology.LineKey) bool {
 	return s.valid && s.line == key.Line && s.space == key.Space
 }
 
-// Stats counts cache events for the CXpa-style instrumentation.
-type Stats struct {
-	Hits          int64
-	Misses        int64
-	Evictions     int64
-	Writebacks    int64
-	Invalidations int64
-}
-
 // hooks are the optional PMU-style counter handles. All nil (free
-// no-ops) until AttachCounters; they mirror the Stats fields so either
-// instrumentation view can be read.
+// no-ops) until AttachCounters.
 type hooks struct {
 	hits          *counters.Counter
 	misses        *counters.Counter
@@ -54,11 +44,10 @@ type Cache struct {
 	// line of it is first filled.
 	pages [][]slot
 	lines uint64
-	Stats Stats
 	ctr   hooks
 }
 
-// AttachCounters mirrors this cache's event stream into the group's
+// AttachCounters counts this cache's event stream in the group's
 // counters (hits, misses, evictions, writebacks, invalidations).
 // Several caches may share one group — their counts aggregate. A nil
 // group detaches (handles become free no-ops again).
@@ -129,23 +118,19 @@ func (c *Cache) Access(key topology.LineKey, write bool) Result {
 	}
 	s := &page[i%pageSlots]
 	if s.holds(key) {
-		c.Stats.Hits++
 		c.ctr.hits.Inc()
 		if write {
 			s.dirty = true
 		}
 		return Result{Hit: true}
 	}
-	c.Stats.Misses++
 	c.ctr.misses.Inc()
 	res := Result{}
 	if s.valid {
-		c.Stats.Evictions++
 		c.ctr.evictions.Inc()
 		res.HadEviction = true
 		res.Evicted = topology.LineKey{Space: s.space, Line: s.line}
 		if s.dirty {
-			c.Stats.Writebacks++
 			c.ctr.writebacks.Inc()
 			res.WritebackNeeded = true
 		}
@@ -172,7 +157,6 @@ func (c *Cache) Invalidate(key topology.LineKey) (present, dirty bool) {
 	if s == nil {
 		return false, false
 	}
-	c.Stats.Invalidations++
 	c.ctr.invalidations.Inc()
 	dirty = s.dirty
 	*s = slot{}

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"unsafe"
 
+	"spp1000/internal/counters"
 	"spp1000/internal/topology"
 )
 
@@ -13,16 +14,24 @@ func key(space uint32, line uint64) topology.LineKey {
 	return topology.LineKey{Space: topology.Space(space), Line: line}
 }
 
+// counted attaches a fresh counter group to c, so a test can read the
+// cache's event counts back.
+func counted(c *Cache) (*Cache, *counters.Group) {
+	g := counters.NewRegistry().Group("cache")
+	c.AttachCounters(g)
+	return c, g
+}
+
 func TestMissThenHit(t *testing.T) {
-	c := New()
+	c, g := counted(New())
 	if r := c.Access(key(1, 10), false); r.Hit {
 		t.Fatal("first access should miss")
 	}
 	if r := c.Access(key(1, 10), false); !r.Hit {
 		t.Fatal("second access should hit")
 	}
-	if c.Stats.Hits != 1 || c.Stats.Misses != 1 {
-		t.Fatalf("stats = %+v", c.Stats)
+	if h, m := g.Counter("hits").Value(), g.Counter("misses").Value(); h != 1 || m != 1 {
+		t.Fatalf("hits = %d, misses = %d, want 1 and 1", h, m)
 	}
 }
 
@@ -65,7 +74,7 @@ func TestDistinctSpacesDoNotAlias(t *testing.T) {
 }
 
 func TestInvalidate(t *testing.T) {
-	c := New()
+	c, g := counted(New())
 	c.Access(key(1, 10), true)
 	present, dirty := c.Invalidate(key(1, 10))
 	if !present || !dirty {
@@ -78,8 +87,8 @@ func TestInvalidate(t *testing.T) {
 	if present {
 		t.Fatal("second invalidate should find nothing")
 	}
-	if c.Stats.Invalidations != 1 {
-		t.Fatalf("invalidation count = %d, want 1", c.Stats.Invalidations)
+	if n := g.Counter("invalidations").Value(); n != 1 {
+		t.Fatalf("invalidation count = %d, want 1", n)
 	}
 }
 
@@ -129,11 +138,11 @@ func TestAccessInvalidateProperty(t *testing.T) {
 // Property: hit+miss counts always equal total accesses.
 func TestStatsBalanceProperty(t *testing.T) {
 	prop := func(lines []uint8) bool {
-		c := NewWithLines(8)
+		c, g := counted(NewWithLines(8))
 		for _, l := range lines {
 			c.Access(key(0, uint64(l)), l%2 == 0)
 		}
-		return c.Stats.Hits+c.Stats.Misses == int64(len(lines))
+		return g.Counter("hits").Value()+g.Counter("misses").Value() == int64(len(lines))
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -144,10 +153,11 @@ func TestStatsBalanceProperty(t *testing.T) {
 func (c *Cache) Lines() int { return int(c.lines) }
 
 // model is the reference cache: one flat, eagerly allocated slot array
-// with the same direct-mapped index formula and the same Stats rules.
+// with the same direct-mapped index formula, counting the same events
+// as the cache's counters, by counter name.
 type model struct {
-	slots []slot
-	stats Stats
+	slots  []slot
+	counts map[string]int64
 }
 
 func (m *model) at(k topology.LineKey) *slot {
@@ -163,18 +173,18 @@ func (m *model) has(k topology.LineKey) (*slot, bool) {
 func (m *model) access(k topology.LineKey, write bool) Result {
 	s, ok := m.has(k)
 	if ok {
-		m.stats.Hits++
+		m.counts["hits"]++
 		s.dirty = s.dirty || write
 		return Result{Hit: true}
 	}
-	m.stats.Misses++
+	m.counts["misses"]++
 	var res Result
 	if s.valid {
-		m.stats.Evictions++
+		m.counts["evictions"]++
 		res.HadEviction = true
 		res.Evicted = topology.LineKey{Space: s.space, Line: s.line}
 		if s.dirty {
-			m.stats.Writebacks++
+			m.counts["writebacks"]++
 			res.WritebackNeeded = true
 		}
 	}
@@ -187,7 +197,7 @@ func (m *model) invalidate(k topology.LineKey) (present, dirty bool) {
 	if !ok {
 		return false, false
 	}
-	m.stats.Invalidations++
+	m.counts["invalidations"]++
 	present, dirty = true, s.dirty
 	*s = slot{}
 	return present, dirty
@@ -199,7 +209,8 @@ func (m *model) invalidate(k topology.LineKey) (present, dirty bool) {
 func TestMatchesFlatModel(t *testing.T) {
 	for _, lines := range []int{1, 7, 511, 512, 513, 4096, 32768} {
 		rng := rand.New(rand.NewSource(int64(lines)))
-		c, m := NewWithLines(lines), &model{slots: make([]slot, lines)}
+		c, g := counted(NewWithLines(lines))
+		m := &model{slots: make([]slot, lines), counts: map[string]int64{}}
 		// Draw keys from a window a few times the capacity so that hits,
 		// conflict evictions and untouched pages all occur.
 		span := uint64(3*lines + 5)
@@ -233,8 +244,10 @@ func TestMatchesFlatModel(t *testing.T) {
 				}
 			}
 		}
-		if c.Stats != m.stats {
-			t.Fatalf("lines=%d stats %+v, model %+v", lines, c.Stats, m.stats)
+		for _, name := range []string{"hits", "misses", "evictions", "writebacks", "invalidations"} {
+			if got, want := g.Counter(name).Value(), m.counts[name]; got != want {
+				t.Fatalf("lines=%d %s = %d, model %d", lines, name, got, want)
+			}
 		}
 	}
 }

@@ -18,13 +18,6 @@ type entry struct {
 	owner    int8  // local CPU holding the line dirty, or -1
 }
 
-// Stats counts directory actions.
-type Stats struct {
-	Lookups       int64
-	Invalidations int64 // copies invalidated
-	Interventions int64 // dirty-owner fetches
-}
-
 // hooks are the optional PMU-style counter handles, nil (free no-ops)
 // until AttachCounters.
 type hooks struct {
@@ -39,7 +32,6 @@ type hooks struct {
 type Directory struct {
 	hypernode int
 	entries   map[topology.LineKey]entry
-	Stats     Stats
 	ctr       hooks
 }
 
@@ -107,7 +99,6 @@ type ReadActions struct {
 // RecordRead notes that cpu now caches the line (shared) and reports the
 // coherence work a read miss triggers.
 func (d *Directory) RecordRead(key topology.LineKey, cpu topology.CPUID) ReadActions {
-	d.Stats.Lookups++
 	d.ctr.lookups.Inc()
 	idx := d.localIndex(cpu)
 	e, ok := d.entries[key]
@@ -120,7 +111,6 @@ func (d *Directory) RecordRead(key topology.LineKey, cpu topology.CPUID) ReadAct
 		o := int(e.owner)
 		acts.DirtyOwner = topology.MakeCPU(d.hypernode, o/topology.CPUsPerFU, o%topology.CPUsPerFU)
 		acts.HasDirtyOwner = true
-		d.Stats.Interventions++
 		d.ctr.interventions.Inc()
 		e.owner = -1
 	}
@@ -141,7 +131,6 @@ type WriteActions struct {
 // RecordWrite makes cpu the exclusive dirty owner and reports the copies
 // that had to be invalidated.
 func (d *Directory) RecordWrite(key topology.LineKey, cpu topology.CPUID) WriteActions {
-	d.Stats.Lookups++
 	d.ctr.lookups.Inc()
 	idx := d.localIndex(cpu)
 	e, ok := d.entries[key]
@@ -153,7 +142,6 @@ func (d *Directory) RecordWrite(key topology.LineKey, cpu topology.CPUID) WriteA
 		o := int(e.owner)
 		acts.PreviousOwner = topology.MakeCPU(d.hypernode, o/topology.CPUsPerFU, o%topology.CPUsPerFU)
 		acts.HasPreviousOwner = true
-		d.Stats.Interventions++
 		d.ctr.interventions.Inc()
 	}
 	for i := 0; i < topology.CPUsPerNode; i++ {
@@ -163,7 +151,6 @@ func (d *Directory) RecordWrite(key topology.LineKey, cpu topology.CPUID) WriteA
 		if e.presence&(1<<i) != 0 {
 			acts.InvalidateLocal = append(acts.InvalidateLocal,
 				topology.MakeCPU(d.hypernode, i/topology.CPUsPerFU, i%topology.CPUsPerFU))
-			d.Stats.Invalidations++
 		}
 	}
 	if n := len(acts.InvalidateLocal); n > 0 {
@@ -198,7 +185,6 @@ func (d *Directory) DropCPU(key topology.LineKey, cpu topology.CPUID) {
 // returns the local CPUs whose caches must be invalidated.
 func (d *Directory) PurgeLine(key topology.LineKey) []topology.CPUID {
 	sharers := d.Sharers(key)
-	d.Stats.Invalidations += int64(len(sharers))
 	d.ctr.purges.Inc()
 	if n := len(sharers); n > 0 {
 		d.ctr.invalidations.Add(int64(n))

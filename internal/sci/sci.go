@@ -27,14 +27,6 @@ type list struct {
 	sharers []int // invariant: no duplicates, never contains entries >= nodes
 }
 
-// Stats counts protocol actions.
-type Stats struct {
-	Attaches     int64 // sharing-list insertions
-	Detaches     int64 // rollouts (eviction from a buffer)
-	Purges       int64 // whole-list invalidation walks
-	PurgedCopies int64 // list nodes visited by purges
-}
-
 // hooks are the optional PMU-style counter handles, nil (free no-ops)
 // until AttachCounters.
 type hooks struct {
@@ -52,7 +44,6 @@ type Protocol struct {
 	// buffers[hn] is the set of remote lines currently held in
 	// hypernode hn's global cache buffer.
 	buffers []map[topology.LineKey]bool
-	Stats   Stats
 	ctr     hooks
 }
 
@@ -111,7 +102,6 @@ func (p *Protocol) Attach(key topology.LineKey, home, hn int) int {
 	}
 	l.sharers = append([]int{hn}, l.sharers...)
 	p.buffers[hn][key] = true
-	p.Stats.Attaches++
 	p.ctr.attaches.Inc()
 	return 0
 }
@@ -129,7 +119,6 @@ func (p *Protocol) Detach(key topology.LineKey, hn int) bool {
 		if s == hn {
 			l.sharers = append(l.sharers[:i], l.sharers[i+1:]...)
 			delete(p.buffers[hn], key)
-			p.Stats.Detaches++
 			p.ctr.detaches.Inc()
 			if len(l.sharers) == 0 {
 				delete(p.lines, key)
@@ -155,8 +144,6 @@ func (p *Protocol) Purge(key topology.LineKey) []int {
 		delete(p.buffers[hn], key)
 	}
 	delete(p.lines, key)
-	p.Stats.Purges++
-	p.Stats.PurgedCopies += int64(len(victims))
 	p.ctr.purges.Inc()
 	p.ctr.purgedCopies.Add(int64(len(victims)))
 	p.ctr.purgeWalk.Observe(int64(len(victims)))
@@ -185,8 +172,6 @@ func (p *Protocol) PurgeExcept(key topology.LineKey, keep int) []int {
 	} else {
 		delete(p.lines, key)
 	}
-	p.Stats.Purges++
-	p.Stats.PurgedCopies += int64(len(victims))
 	p.ctr.purges.Inc()
 	p.ctr.purgedCopies.Add(int64(len(victims)))
 	p.ctr.purgeWalk.Observe(int64(len(victims)))

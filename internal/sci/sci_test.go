@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"spp1000/internal/counters"
 	"spp1000/internal/rng"
 	"spp1000/internal/topology"
 )
@@ -85,6 +86,8 @@ func TestDetach(t *testing.T) {
 
 func TestPurgeWalksWholeList(t *testing.T) {
 	p := New(8)
+	g := counters.NewRegistry().Group("sci")
+	p.AttachCounters(g)
 	for hn := 1; hn < 6; hn++ {
 		p.Attach(line, 0, hn)
 	}
@@ -103,8 +106,8 @@ func TestPurgeWalksWholeList(t *testing.T) {
 			t.Fatalf("hn%d still buffers the purged line", hn)
 		}
 	}
-	if p.Stats.PurgedCopies != 5 {
-		t.Fatalf("stats.PurgedCopies = %d", p.Stats.PurgedCopies)
+	if n := g.Counter("purged_copies").Value(); n != 5 {
+		t.Fatalf("purged_copies = %d, want 5", n)
 	}
 }
 
