@@ -67,6 +67,19 @@ func main() {
 	}
 
 	if *jsonOut {
+		// -json always builds the whole report; refuse flags it would
+		// otherwise silently ignore.
+		var ignored []string
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "exp", "counters", "checkpoint", "resume":
+				ignored = append(ignored, "-"+f.Name)
+			}
+		})
+		if len(ignored) > 0 {
+			fmt.Fprintf(os.Stderr, "sppbench: -json cannot combine with %s (the JSON report always covers every paper artifact, without counters or checkpoints)\n", strings.Join(ignored, ", "))
+			os.Exit(2)
+		}
 		report, err := experiments.BuildReport(opts)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sppbench: %v\n", err)

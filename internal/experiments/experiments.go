@@ -103,46 +103,55 @@ func Tab1(o Options) (string, error) {
 	return tb.Render(), nil
 }
 
-// fig6 reproduces Figure 6: PIC time to solution and speedup, shared
-// memory versus PVM, with the C90 reference line. Every (size, procs)
-// point is two independent simulations; the full grid is dispatched
-// through the worker pool, then rendered serially in sweep order.
-func fig6(ctx context.Context, o Options) (string, error) {
-	procs := []int{1, 2, 4, 8, 12, 16}
-	sizes := []pic.Size{pic.Small, pic.Large}
-	type point struct{ rs, rp pic.Result }
-	pts, err := runner.MapCtx(ctx, len(sizes)*len(procs), func(i int) (point, error) {
-		size, p := sizes[i/len(procs)], procs[i%len(procs)]
-		rs, err := pic.RunShared(size, p, o.PICSteps)
-		if err != nil {
-			return point{}, err
+// Figure 6's sweep: both PIC sizes at each processor count.
+var (
+	fig6Sizes = []pic.Size{pic.Small, pic.Large}
+	fig6Procs = []int{1, 2, 4, 8, 12, 16}
+)
+
+// fig6Sweep runs Figure 6's simulations through the worker pool. For
+// each size and processor count, in sweep order, it returns the
+// shared-memory result followed by the PVM result.
+func fig6Sweep(ctx context.Context, o Options) ([]pic.Result, error) {
+	n := len(fig6Procs)
+	return runner.MapCtx(ctx, 2*len(fig6Sizes)*n, func(i int) (pic.Result, error) {
+		size, p := fig6Sizes[i/(2*n)], fig6Procs[i/2%n]
+		if i%2 == 0 {
+			return pic.RunShared(size, p, o.PICSteps)
 		}
-		rp, err := pic.RunPVM(size, p, o.PICSteps)
-		if err != nil {
-			return point{}, err
-		}
-		return point{rs, rp}, nil
+		return pic.RunPVM(size, p, o.PICSteps)
 	})
+}
+
+// fig6 reproduces Figure 6: PIC time to solution and speedup, shared
+// memory versus PVM, with the C90 reference line.
+func fig6(ctx context.Context, o Options) (string, error) {
+	res, err := fig6Sweep(ctx, o)
 	if err != nil {
 		return "", err
 	}
+	return renderFig6(o, res), nil
+}
+
+// renderFig6 renders fig6Sweep's results.
+func renderFig6(o Options, res []pic.Result) string {
 	var b strings.Builder
-	for si, size := range sizes {
+	for si, size := range fig6Sizes {
 		shT := &stats.Series{Name: "shared time(s)"}
 		pvT := &stats.Series{Name: "pvm time(s)"}
 		shS := &stats.Series{Name: "shared speedup"}
 		pvS := &stats.Series{Name: "pvm speedup"}
 		var shBase, pvBase float64
 		scale := 500.0 / float64(o.PICSteps)
-		for pi, p := range procs {
-			pt := pts[si*len(procs)+pi]
+		for pi, p := range fig6Procs {
+			rs, rp := res[2*(si*len(fig6Procs)+pi)], res[2*(si*len(fig6Procs)+pi)+1]
 			if p == 1 {
-				shBase, pvBase = pt.rs.Seconds, pt.rp.Seconds
+				shBase, pvBase = rs.Seconds, rp.Seconds
 			}
-			shT.Add(float64(p), pt.rs.Seconds*scale)
-			pvT.Add(float64(p), pt.rp.Seconds*scale)
-			shS.Add(float64(p), shBase/pt.rs.Seconds)
-			pvS.Add(float64(p), pvBase/pt.rp.Seconds)
+			shT.Add(float64(p), rs.Seconds*scale)
+			pvT.Add(float64(p), rp.Seconds*scale)
+			shS.Add(float64(p), shBase/rs.Seconds)
+			pvS.Add(float64(p), pvBase/rp.Seconds)
 		}
 		c90sec, c90rate := pic.C90Reference(size, 500)
 		fmt.Fprintf(&b, "%s", stats.Render(
@@ -151,62 +160,74 @@ func fig6(ctx context.Context, o Options) (string, error) {
 			"procs", "see columns", shT, pvT, shS, pvS))
 		fmt.Fprintf(&b, "C90 reference line: %.1f s at %.0f Mflop/s\n\n", c90sec, c90rate)
 	}
-	return b.String(), nil
+	return b.String()
+}
+
+// Figure 7's sweep: three curves over one processor axis.
+var (
+	fig7Curves = []struct {
+		name   string
+		grid   [2]int
+		coding fem.Coding
+	}{
+		{"small1", fem.SmallGrid, fem.GatherScatter},
+		{"small2", fem.SmallGrid, fem.VectorStyle},
+		{"large", fem.LargeGrid, fem.GatherScatter},
+	}
+	fig7Procs = []int{1, 2, 4, 8, 9, 10, 12, 14, 16}
+)
+
+// fig7Sweep runs Figure 7's simulations through the worker pool and
+// returns them curve by curve, each curve in processor order.
+func fig7Sweep(ctx context.Context, o Options) ([]fem.Result, error) {
+	n := len(fig7Procs)
+	return runner.MapCtx(ctx, len(fig7Curves)*n, func(i int) (fem.Result, error) {
+		c := fig7Curves[i/n]
+		return fem.Run(c.grid, c.coding, fig7Procs[i%n], o.AppSteps)
+	})
 }
 
 // fig7 reproduces Figure 7: FEM performance on the small and large
 // datasets, both codings, with the C90 line.
-
 func fig7(ctx context.Context, o Options) (string, error) {
-	procs := []int{1, 2, 4, 8, 9, 10, 12, 14, 16}
-	type point struct{ small1, small2, large float64 }
-	pts, err := runner.MapCtx(ctx, len(procs), func(i int) (point, error) {
-		p := procs[i]
-		var pt point
-		r, err := fem.Run(fem.SmallGrid, fem.GatherScatter, p, o.AppSteps)
-		if err != nil {
-			return pt, err
-		}
-		pt.small1 = r.UsefulMflops
-		r, err = fem.Run(fem.SmallGrid, fem.VectorStyle, p, o.AppSteps)
-		if err != nil {
-			return pt, err
-		}
-		pt.small2 = r.UsefulMflops
-		r, err = fem.Run(fem.LargeGrid, fem.GatherScatter, p, o.AppSteps)
-		if err != nil {
-			return pt, err
-		}
-		pt.large = r.UsefulMflops
-		return pt, nil
-	})
+	res, err := fig7Sweep(ctx, o)
 	if err != nil {
 		return "", err
 	}
-	small1 := &stats.Series{Name: "small1"}
-	small2 := &stats.Series{Name: "small2"}
-	large := &stats.Series{Name: "large"}
-	for i, p := range procs {
-		small1.Add(float64(p), pts[i].small1)
-		small2.Add(float64(p), pts[i].small2)
-		large.Add(float64(p), pts[i].large)
+	return renderFig7(res), nil
+}
+
+// renderFig7 renders fig7Sweep's results.
+func renderFig7(res []fem.Result) string {
+	curves := make([]*stats.Series, len(fig7Curves))
+	for ci, c := range fig7Curves {
+		curves[ci] = &stats.Series{Name: c.name}
+		for pi, p := range fig7Procs {
+			curves[ci].Add(float64(p), res[ci*len(fig7Procs)+pi].UsefulMflops)
+		}
 	}
-	out := stats.Render("Figure 7: FEM performance (useful Mflop/s)", "procs", "useful Mflop/s", small1, small2, large)
+	out := stats.Render("Figure 7: FEM performance (useful Mflop/s)", "procs", "useful Mflop/s", curves...)
 	_, c90useful := fem.C90Reference()
 	out += fmt.Sprintf("C90 single-head line: %.0f useful Mflop/s\n", c90useful)
-	return out, nil
+	return out
 }
 
 // nbodyConfig is one N-body team shape: threads and hypernodes.
 type nbodyConfig struct{ p, hn int }
 
-// nbodySweep runs the N-body study behind Fig. 8 and the JSON report.
-// Stage 1 builds the counted workload of every size (host-side tree
+// fig8Cfgs are Figure 8's team shapes; the first doubles as the 1-CPU
+// baseline.
+var fig8Cfgs = []nbodyConfig{
+	{1, 1}, {2, 1}, {4, 1}, {8, 1}, {2, 2}, {4, 2}, {8, 2}, {16, 2},
+}
+
+// fig8Sweep runs Figure 8's simulations. Stage 1 builds the counted workload of every size (host-side tree
 // builds — by far the heaviest host compute in the suite) in parallel
 // across sizes. Stage 2 times every (size, config) pair, flattened into
 // one pool dispatch. Results are size-major: size i's runs start at
-// i*len(cfgs).
-func nbodySweep(ctx context.Context, o Options, cfgs []nbodyConfig) ([]nbody.Result, error) {
+// i*len(fig8Cfgs).
+func fig8Sweep(ctx context.Context, o Options) ([]nbody.Result, error) {
+	cfgs := fig8Cfgs
 	ws, err := runner.MapCtx(ctx, len(o.NBodySizes), func(i int) (*nbody.Workload, error) {
 		return nbody.CountWorkload(o.NBodySizes[i], o.NBodySample, o.Seed), nil
 	})
@@ -221,14 +242,16 @@ func nbodySweep(ctx context.Context, o Options, cfgs []nbodyConfig) ([]nbody.Res
 // fig8 reproduces Figure 8: N-body speedup for three problem sizes on
 // one and two hypernodes.
 func fig8(ctx context.Context, o Options) (string, error) {
-	// cfgs[0] doubles as the 1-CPU baseline.
-	cfgs := []nbodyConfig{
-		{1, 1}, {2, 1}, {4, 1}, {8, 1}, {2, 2}, {4, 2}, {8, 2}, {16, 2},
-	}
-	res, err := nbodySweep(ctx, o, cfgs)
+	res, err := fig8Sweep(ctx, o)
 	if err != nil {
 		return "", err
 	}
+	return renderFig8(o, res), nil
+}
+
+// renderFig8 renders fig8Sweep's results.
+func renderFig8(o Options, res []nbody.Result) string {
+	cfgs := fig8Cfgs
 	var b strings.Builder
 	for si, n := range o.NBodySizes {
 		one := &stats.Series{Name: "1 hypernode"}
@@ -250,7 +273,7 @@ func fig8(ctx context.Context, o Options) (string, error) {
 		b.WriteString("\n")
 	}
 	b.WriteString("Paper: 27.5 Mflop/s on 1 CPU, 384 Mflop/s on 16; 2-7% cross-hypernode degradation.\n")
-	return b.String(), nil
+	return b.String()
 }
 
 // Tab2 reproduces Table 2: PPM performance.

@@ -59,7 +59,7 @@ func TestJSONReport(t *testing.T) {
 			t.Errorf("JSON missing %q", want)
 		}
 	}
-	if len(r.Fig6) != 20 || len(r.Tab2) != 10 {
+	if len(r.Fig6) != 24 || len(r.Tab2) != 10 {
 		t.Fatalf("report shape: fig6=%d tab2=%d", len(r.Fig6), len(r.Tab2))
 	}
 	// Determinism: identical bytes on a second run.
@@ -70,6 +70,37 @@ func TestJSONReport(t *testing.T) {
 	data2, _ := r2.JSON()
 	if string(data) != string(data2) {
 		t.Fatal("JSON report not deterministic")
+	}
+}
+
+// The report's figure results are the ones the text figures plot:
+// rendering them reproduces each figure byte for byte.
+func TestJSONReportMatchesFigures(t *testing.T) {
+	o := Quick()
+	r, err := BuildReport(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want int // result counts: the report's and the figure's
+		render    func() string
+	}{
+		{"fig6", len(r.Fig6), 2 * len(fig6Sizes) * len(fig6Procs), func() string { return renderFig6(o, r.Fig6) }},
+		{"fig7", len(r.Fig7), len(fig7Curves) * len(fig7Procs), func() string { return renderFig7(r.Fig7) }},
+		{"fig8", len(r.Fig8), len(o.NBodySizes) * len(fig8Cfgs), func() string { return renderFig8(o, r.Fig8) }},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s: the report holds %d results, the figure plots %d", c.name, c.got, c.want)
+			continue
+		}
+		want, err := Run(c.name, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.render(); got != want {
+			t.Errorf("%s rendered from the JSON report differs from the figure:\n%s\nwant:\n%s", c.name, got, want)
+		}
 	}
 }
 

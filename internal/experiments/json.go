@@ -36,87 +36,51 @@ type Report struct {
 		Mflops    float64 `json:"mflops"`
 		Seconds   float64 `json:"seconds"`
 	} `json:"tab1"`
-	// Fig6: PIC results per (size, variant, procs).
+	// Fig6: PIC results per (size, procs), shared then PVM.
 	Fig6 []pic.Result `json:"fig6"`
-	// Fig7: FEM results.
+	// Fig7: FEM results per (curve, procs).
 	Fig7 []fem.Result `json:"fig7"`
-	// Fig8: N-body results.
+	// Fig8: N-body results per (size, team shape).
 	Fig8 []nbody.Result `json:"fig8"`
 	// Tab2: PPM results.
 	Tab2 []ppm.Result `json:"tab2"`
 }
 
 // BuildReport runs the paper artifacts and returns the structured form.
-// The independent sections — and the sweep points within them — are
-// dispatched through the host worker pool; every slice is assembled in
-// the same order as a serial build, so the marshalled bytes are
+// Fig6, Fig7 and Fig8 hold exactly the results the text figures render
+// from. The independent sections — and the sweep points within them —
+// are dispatched through the host worker pool; every slice is assembled
+// in the same order as a serial build, so the marshalled bytes are
 // unchanged by parallelism.
 func BuildReport(o Options) (*Report, error) {
 	r := &Report{}
+	for _, size := range []pic.Size{pic.Small, pic.Large} {
+		sec, rate := pic.C90Reference(size, 500)
+		r.Tab1 = append(r.Tab1, struct {
+			Mesh      string  `json:"mesh"`
+			Particles int     `json:"particles"`
+			Mflops    float64 `json:"mflops"`
+			Seconds   float64 `json:"seconds"`
+		}{size.String(), size.Particles(), rate, sec})
+	}
+	ctx := context.Background()
 	err := runner.Each(6, func(section int) error {
+		var err error
 		switch section {
 		case 0:
-			var err error
 			r.Fig2.HighLocality, r.Fig2.Uniform, err = microbench.ForkJoinSweep(2, 16)
-			return err
 		case 1:
-			var err error
 			r.Fig3, err = microbench.BarrierSweep(2, 16)
-			return err
 		case 2:
-			var err error
 			r.Fig4.Local, r.Fig4.Global, err = microbench.MessageSweep()
-			return err
 		case 3:
-			sizes := []pic.Size{pic.Small, pic.Large}
-			procs := []int{1, 2, 4, 8, 16}
-			pts, err := runner.Map(len(sizes)*len(procs), func(i int) ([2]pic.Result, error) {
-				size, p := sizes[i/len(procs)], procs[i%len(procs)]
-				rs, err := pic.RunShared(size, p, o.PICSteps)
-				if err != nil {
-					return [2]pic.Result{}, err
-				}
-				rp, err := pic.RunPVM(size, p, o.PICSteps)
-				if err != nil {
-					return [2]pic.Result{}, err
-				}
-				return [2]pic.Result{rs, rp}, nil
-			})
-			if err != nil {
-				return err
-			}
-			for si, size := range sizes {
-				sec, rate := pic.C90Reference(size, 500)
-				r.Tab1 = append(r.Tab1, struct {
-					Mesh      string  `json:"mesh"`
-					Particles int     `json:"particles"`
-					Mflops    float64 `json:"mflops"`
-					Seconds   float64 `json:"seconds"`
-				}{size.String(), size.Particles(), rate, sec})
-				for pi := range procs {
-					r.Fig6 = append(r.Fig6, pts[si*len(procs)+pi][0], pts[si*len(procs)+pi][1])
-				}
-			}
-			return nil
+			r.Fig6, err = fig6Sweep(ctx, o)
 		case 4:
-			procs := []int{1, 2, 4, 8, 9, 12, 16}
-			res, err := runner.Map(len(procs), func(i int) (fem.Result, error) {
-				return fem.Run(fem.SmallGrid, fem.GatherScatter, procs[i], o.AppSteps)
-			})
-			if err != nil {
-				return err
-			}
-			r.Fig7 = res
-			return nil
+			r.Fig7, err = fig7Sweep(ctx, o)
 		case 5:
-			res, err := nbodySweep(context.TODO(), o, []nbodyConfig{{1, 1}, {8, 1}, {8, 2}, {16, 2}})
-			if err != nil {
-				return err
-			}
-			r.Fig8 = res
-			return nil
+			r.Fig8, err = fig8Sweep(ctx, o)
 		}
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
