@@ -26,12 +26,17 @@ type spaceInfo struct {
 	blockBytes int // BlockShared distribution unit
 }
 
-// Counters is the per-CPU CXpa-style instrumentation.
+// Counters is the machine-wide CXpa-style instrumentation. A miss is
+// global when its line is homed at another hypernode and is not in this
+// hypernode's global cache buffer; otherwise a bank of the home FU in
+// this hypernode serves it (the buffer lives in that FU's memory too),
+// which is local when that FU is the CPU's own and a hypernode miss when
+// it is another.
 type Counters struct {
 	Accesses        int64
 	Hits            int64
-	LocalMisses     int64 // served by the FU's own memory
-	HypernodeMisses int64 // served over the crossbar (incl. global-buffer hits)
+	LocalMisses     int64 // served by the CPU's own FU
+	HypernodeMisses int64 // served by another FU, over the crossbar
 	GlobalMisses    int64 // served over an SCI ring
 	InvalsReceived  int64
 	StallCycles     int64 // total cycles waiting on memory
@@ -48,8 +53,8 @@ type System struct {
 	xbars  []*xbar.Crossbar // one 5-port switch per hypernode
 	banks  [][]sim.Resource // memory banks, per hypernode per FU
 	spaces []spaceInfo
-	Stats  []Counters // indexed by CPUID
-	ctr    memHooks   // optional PMU counters (see AttachCounters)
+	stats  Counters // machine-wide tally (see TotalCounters)
+	ctr    memHooks // optional PMU counters (see AttachCountersBase)
 
 	// Ablation switches (see internal/ablation): DisableGlobalBuffer
 	// makes every access to a remotely-homed line a full ring
@@ -69,7 +74,7 @@ type System struct {
 // memHooks are the machine-level PMU counter handles: access counts and
 // stall-cycle totals broken down by service class (the §2.6/§6 latency
 // ladder: cache hit, FU-local memory, crossbar, SCI ring). All nil —
-// free no-ops — until AttachCounters.
+// free no-ops — until AttachCountersBase.
 type memHooks struct {
 	accesses            *counters.Counter
 	hits                *counters.Counter
@@ -157,7 +162,6 @@ func New(topo topology.Topology, p topology.Params, cacheLines int) *System {
 	}
 	s.SCI = sci.New(topo.Hypernodes)
 	s.Rings = ring.New(topo, p)
-	s.Stats = make([]Counters, n)
 	s.bufferCap = DefaultBufferLines
 	s.bufferFIFO = make([][]topology.LineKey, topo.Hypernodes)
 	return s
@@ -182,8 +186,6 @@ type Invalidation struct {
 type Report struct {
 	Done        sim.Cycles
 	Invalidated []Invalidation
-	WasHit      bool
-	WasGlobal   bool
 }
 
 // Home resolves the line's home placement for an accessor.
@@ -200,8 +202,7 @@ func (s *System) Access(now sim.Cycles, cpu topology.CPUID, sp topology.Space, a
 		panic(fmt.Sprintf("memsys: access to unallocated space %d", sp))
 	}
 	key := topology.LineKey{Space: sp, Line: addr.Line()}
-	st := &s.Stats[cpu]
-	st.Accesses++
+	s.stats.Accesses++
 	s.ctr.accesses.Inc()
 	t0 := now
 
@@ -212,66 +213,54 @@ func (s *System) Access(now sim.Cycles, cpu topology.CPUID, sp topology.Space, a
 	// Fast path: cache hit. A write hit still needs exclusivity if the
 	// line is shared elsewhere.
 	if c.Contains(key) {
+		s.stats.Hits++
+		s.ctr.hits.Inc()
 		if !write || c.Dirty(key) {
-			st.Hits++
-			s.ctr.hits.Inc()
 			c.Access(key, write)
-			return Report{Done: now + sim.Cycles(s.P.CacheHit), WasHit: true}
+			return Report{Done: now + sim.Cycles(s.P.CacheHit)}
 		}
 		// Write to a shared (clean) cached line: upgrade.
 		rep := s.acquireOwnership(now+sim.Cycles(s.P.CacheHit), cpu, key, home)
 		c.Access(key, true)
-		st.Hits++
-		st.StallCycles += int64(rep.Done - now)
-		s.ctr.hits.Inc()
+		s.stats.StallCycles += int64(rep.Done - now)
 		s.ctr.upgrades.Inc()
 		s.ctr.upgradeCycles.Add(int64(rep.Done - now))
-		rep.WasHit = true
 		return rep
 	}
 
 	// Miss: fill the line, handling the eviction first.
-	res := c.Access(key, write)
-	if res.WritebackNeeded {
-		// Dirty eviction: the home directory forgets us; the writeback
-		// itself is buffered and charged as fixed cycles.
-		s.dropEvicted(res.Evicted, cpu)
-		now += sim.Cycles(s.P.WriteBack)
-	} else if res.HadEviction {
-		s.dropEvicted(res.Evicted, cpu)
+	if res := c.Access(key, write); res.HadEviction {
+		// The directory forgets the victim; a dirty victim's writeback
+		// is buffered and charged as fixed cycles.
+		s.dirs[myHN].DropCPU(res.Evicted, cpu)
+		if res.WritebackNeeded {
+			now += sim.Cycles(s.P.WriteBack)
+		}
 	}
 
-	// Snapshot the per-class tallies so the serviced class — decided
-	// deep inside the fill paths — can be recovered for the PMU
-	// latency decomposition without changing the Report shape.
-	l0, h0 := st.LocalMisses, st.HypernodeMisses
-
+	// The service class (see Counters) picks the fill path, the tally
+	// and the PMU pair.
 	var rep Report
-	if home.Hypernode == myHN {
-		rep = s.localFill(now, cpu, key, home, write)
-	} else if !s.DisableGlobalBuffer && s.SCI.InBuffer(myHN, key) {
-		rep = s.bufferFill(now, cpu, key, home, write)
-	} else {
+	var misses, cycles *counters.Counter
+	switch {
+	case home.Hypernode != myHN && (s.DisableGlobalBuffer || !s.SCI.InBuffer(myHN, key)):
 		rep = s.globalFill(now, cpu, key, home, write)
-		rep.WasGlobal = true
-		st.GlobalMisses++
+		s.stats.GlobalMisses++
+		misses, cycles = s.ctr.globalMisses, s.ctr.globalMissCycles
+	case home.FU == cpu.FU():
+		rep = s.nodeFill(now, cpu, key, home, write)
+		s.stats.LocalMisses++
+		misses, cycles = s.ctr.localMisses, s.ctr.localMissCycles
+	default:
+		rep = s.nodeFill(now, cpu, key, home, write)
+		s.stats.HypernodeMisses++
+		misses, cycles = s.ctr.hypernodeMisses, s.ctr.hypernodeMissCycles
 	}
-	st.StallCycles += int64(rep.Done - now)
-
+	s.stats.StallCycles += int64(rep.Done - now)
+	misses.Inc()
 	// Latency from the original issue time, including any eviction
 	// writeback charged above.
-	lat := int64(rep.Done - t0)
-	switch {
-	case rep.WasGlobal:
-		s.ctr.globalMisses.Inc()
-		s.ctr.globalMissCycles.Add(lat)
-	case st.LocalMisses > l0:
-		s.ctr.localMisses.Inc()
-		s.ctr.localMissCycles.Add(lat)
-	case st.HypernodeMisses > h0:
-		s.ctr.hypernodeMisses.Inc()
-		s.ctr.hypernodeMissCycles.Add(lat)
-	}
+	cycles.Add(int64(rep.Done - t0))
 	return rep
 }
 
@@ -281,14 +270,12 @@ func (s *System) Access(now sim.Cycles, cpu topology.CPUID, sp topology.Space, a
 func (s *System) acquireOwnership(now sim.Cycles, cpu topology.CPUID, key topology.LineKey, home topology.Placement) Report {
 	myHN := cpu.Hypernode()
 	rep := Report{}
-	t := now + sim.Cycles(s.P.DirLookup)
+	// Unlike recordLocal, no writeback is charged for a dirty previous
+	// owner. A clean copy here means there is none, except under the
+	// DisableGlobalBuffer ablation, whose global write fills leave other
+	// local copies uninvalidated; charging one would move its timings.
 	acts := s.dirs[myHN].RecordWrite(key, cpu)
-	for _, victim := range acts.InvalidateLocal {
-		t += sim.Cycles(s.P.InvalPerCopy)
-		s.caches[victim].Invalidate(key)
-		s.Stats[victim].InvalsReceived++
-		rep.Invalidated = append(rep.Invalidated, Invalidation{CPU: victim, At: t})
-	}
+	t := s.killAll(now+sim.Cycles(s.P.DirLookup), key, acts.InvalidateLocal, &rep)
 	keep := -1
 	if home.Hypernode != myHN {
 		keep = myHN // our buffered copy stays, now exclusive
@@ -300,51 +287,71 @@ func (s *System) acquireOwnership(now sim.Cycles, cpu topology.CPUID, key topolo
 	// A write to a line homed at another hypernode must also kill any
 	// copies cached at the home itself.
 	if home.Hypernode != myHN {
-		for _, victim := range s.dirs[home.Hypernode].PurgeLine(key) {
-			t += sim.Cycles(s.P.InvalPerCopy)
-			s.caches[victim].Invalidate(key)
-			s.Stats[victim].InvalsReceived++
-			rep.Invalidated = append(rep.Invalidated, Invalidation{CPU: victim, At: t})
-		}
+		t = s.killAll(t, key, s.dirs[home.Hypernode].PurgeLine(key), &rep)
 	}
 	rep.Done = t
 	return rep
 }
 
-// dropEvicted removes an evicted line from the tracking directory
-// (of the hypernode that tracks the CPU's copy: always the CPU's own).
-func (s *System) dropEvicted(key topology.LineKey, cpu topology.CPUID) {
-	s.dirs[cpu.Hypernode()].DropCPU(key, cpu)
+// recordLocal enters the requester's new copy in its own hypernode's
+// directory and plays the local coherence work from t: a read makes a
+// dirty owner write the line back and keep it clean; a write waits for
+// a dirty previous owner's writeback, then kills every other local copy
+// (the previous owner's among them). It returns the instant the work is
+// done.
+func (s *System) recordLocal(t sim.Cycles, cpu topology.CPUID, key topology.LineKey, write bool, rep *Report) sim.Cycles {
+	d := s.dirs[cpu.Hypernode()]
+	if !write {
+		if acts := d.RecordRead(key, cpu); acts.HasDirtyOwner {
+			s.caches[acts.DirtyOwner].Clean(key)
+			t += sim.Cycles(s.P.WriteBack)
+		}
+		return t
+	}
+	acts := d.RecordWrite(key, cpu)
+	if acts.HasPreviousOwner {
+		t += sim.Cycles(s.P.WriteBack)
+	}
+	return s.killAll(t, key, acts.InvalidateLocal, rep)
 }
 
-// localFill serves a miss whose home is in the requester's hypernode.
-func (s *System) localFill(now sim.Cycles, cpu topology.CPUID, key topology.LineKey, home topology.Placement, write bool) Report {
-	myHN := cpu.Hypernode()
-	d := s.dirs[myHN]
-	rep := Report{}
-	t := now + sim.Cycles(s.P.DirLookup)
+// kill invalidates cpu's cached copy of key at instant at, counts it,
+// and records it in rep.
+func (s *System) kill(cpu topology.CPUID, key topology.LineKey, at sim.Cycles, rep *Report) {
+	s.caches[cpu].Invalidate(key)
+	s.stats.InvalsReceived++
+	rep.Invalidated = append(rep.Invalidated, Invalidation{CPU: cpu, At: at})
+}
 
-	if write {
-		acts := d.RecordWrite(key, cpu)
-		if acts.HasPreviousOwner {
-			t += sim.Cycles(s.P.WriteBack)
-			s.caches[acts.PreviousOwner].Invalidate(key)
-			s.Stats[acts.PreviousOwner].InvalsReceived++
-			rep.Invalidated = append(rep.Invalidated, Invalidation{CPU: acts.PreviousOwner, At: t})
-		}
-		for _, victim := range acts.InvalidateLocal {
-			t += sim.Cycles(s.P.InvalPerCopy)
-			s.caches[victim].Invalidate(key)
-			s.Stats[victim].InvalsReceived++
-			rep.Invalidated = append(rep.Invalidated, Invalidation{CPU: victim, At: t})
-		}
+// killAll kills the victims' copies one after another, InvalPerCopy
+// apart from t on, and returns the instant of the last kill.
+func (s *System) killAll(t sim.Cycles, key topology.LineKey, victims []topology.CPUID, rep *Report) sim.Cycles {
+	for _, v := range victims {
+		t += sim.Cycles(s.P.InvalPerCopy)
+		s.kill(v, key, t, rep)
+	}
+	return t
+}
+
+// nodeFill serves a miss from a memory bank of the home FU in the
+// requester's hypernode: the line is homed here, or it is a remotely
+// homed line in this hypernode's global cache buffer, which lives in
+// the FU attached to the home line's ring. A write first makes the copy
+// exclusive across the machine.
+func (s *System) nodeFill(now sim.Cycles, cpu topology.CPUID, key topology.LineKey, home topology.Placement, write bool) Report {
+	myHN := cpu.Hypernode()
+	rep := Report{}
+	t := s.recordLocal(now+sim.Cycles(s.P.DirLookup), cpu, key, write, &rep)
+	if write && home.Hypernode == myHN {
 		// Remote hypernodes holding buffered copies must be purged.
 		t = s.purgeRemote(t, myHN, s.ring(home.FU), key, -1, &rep)
-	} else {
-		acts := d.RecordRead(key, cpu)
-		if acts.HasDirtyOwner {
-			t += sim.Cycles(s.P.WriteBack)
-			s.caches[acts.DirtyOwner].Clean(key)
+	} else if write {
+		// Purge every other hypernode, and any copies cached at the
+		// home hypernode itself.
+		t = s.purgeRemote(t, myHN, s.ring(home.FU), key, myHN, &rep)
+		if victims := s.dirs[home.Hypernode].PurgeLine(key); len(victims) > 0 {
+			t = s.Rings.Send(t, s.ring(home.FU), myHN, home.Hypernode, topology.CacheLineBytes)
+			t = s.killAll(t, key, victims, &rep)
 		}
 	}
 
@@ -353,69 +360,9 @@ func (s *System) localFill(now sim.Cycles, cpu topology.CPUID, key topology.Line
 	queue := bankDone - t - sim.Cycles(s.P.MemoryBankBusy)
 	if home.FU == cpu.FU() {
 		t += sim.Cycles(s.P.LocalMiss) + queue
-		s.Stats[cpu].LocalMisses++
 	} else {
 		t = s.crossbar(t, myHN, cpu.FU(), home.FU, sim.Cycles(s.P.CrossbarTransit))
 		t += sim.Cycles(s.P.HypernodeMiss-s.P.CrossbarTransit) + queue
-		s.Stats[cpu].HypernodeMisses++
-	}
-	rep.Done = t
-	return rep
-}
-
-// bufferFill serves a miss on a remotely-homed line already present in
-// this hypernode's global cache buffer: crossbar-cost service.
-func (s *System) bufferFill(now sim.Cycles, cpu topology.CPUID, key topology.LineKey, home topology.Placement, write bool) Report {
-	myHN := cpu.Hypernode()
-	d := s.dirs[myHN]
-	rep := Report{}
-	t := now + sim.Cycles(s.P.DirLookup)
-
-	if write {
-		acts := d.RecordWrite(key, cpu)
-		if acts.HasPreviousOwner {
-			t += sim.Cycles(s.P.WriteBack)
-			s.caches[acts.PreviousOwner].Invalidate(key)
-			s.Stats[acts.PreviousOwner].InvalsReceived++
-			rep.Invalidated = append(rep.Invalidated, Invalidation{CPU: acts.PreviousOwner, At: t})
-		}
-		for _, victim := range acts.InvalidateLocal {
-			t += sim.Cycles(s.P.InvalPerCopy)
-			s.caches[victim].Invalidate(key)
-			s.Stats[victim].InvalsReceived++
-			rep.Invalidated = append(rep.Invalidated, Invalidation{CPU: victim, At: t})
-		}
-		// Exclusivity across the machine: purge every other hypernode,
-		// and any copies cached at the home hypernode itself.
-		t = s.purgeRemote(t, myHN, s.ring(home.FU), key, myHN, &rep)
-		if victims := s.dirs[home.Hypernode].PurgeLine(key); len(victims) > 0 {
-			t = s.Rings.Send(t, s.ring(home.FU), myHN, home.Hypernode, topology.CacheLineBytes)
-			for _, victim := range victims {
-				t += sim.Cycles(s.P.InvalPerCopy)
-				s.caches[victim].Invalidate(key)
-				s.Stats[victim].InvalsReceived++
-				rep.Invalidated = append(rep.Invalidated, Invalidation{CPU: victim, At: t})
-			}
-		}
-	} else {
-		acts := d.RecordRead(key, cpu)
-		if acts.HasDirtyOwner {
-			t += sim.Cycles(s.P.WriteBack)
-			s.caches[acts.DirtyOwner].Clean(key)
-		}
-	}
-
-	// The buffer lives in the FU attached to the home line's ring.
-	bufFU := home.FU
-	bankDone := s.banks[myHN][bufFU].Reserve(t, sim.Cycles(s.P.MemoryBankBusy))
-	queue := bankDone - t - sim.Cycles(s.P.MemoryBankBusy)
-	if bufFU == cpu.FU() {
-		t += sim.Cycles(s.P.LocalMiss) + queue
-		s.Stats[cpu].LocalMisses++
-	} else {
-		t = s.crossbar(t, myHN, cpu.FU(), bufFU, sim.Cycles(s.P.CrossbarTransit))
-		t += sim.Cycles(s.P.HypernodeMiss-s.P.CrossbarTransit) + queue
-		s.Stats[cpu].HypernodeMisses++
 	}
 	rep.Done = t
 	return rep
@@ -446,21 +393,14 @@ func (s *System) globalFill(now sim.Cycles, cpu topology.CPUID, key topology.Lin
 		t += sim.Cycles(s.P.WriteBack)
 		if write {
 			s.dirs[home.Hypernode].PurgeLine(key)
-			s.caches[owner].Invalidate(key)
-			s.Stats[owner].InvalsReceived++
-			rep.Invalidated = append(rep.Invalidated, Invalidation{CPU: owner, At: t})
+			s.kill(owner, key, t, &rep)
 		} else {
 			s.caches[owner].Clean(key)
 			s.dirs[home.Hypernode].RecordRead(key, owner) // downgrade to shared
 		}
 	} else if write {
 		// Any clean copies at the home hypernode must also die.
-		for _, victim := range s.dirs[home.Hypernode].PurgeLine(key) {
-			t += sim.Cycles(s.P.InvalPerCopy)
-			s.caches[victim].Invalidate(key)
-			s.Stats[victim].InvalsReceived++
-			rep.Invalidated = append(rep.Invalidated, Invalidation{CPU: victim, At: t})
-		}
+		t = s.killAll(t, key, s.dirs[home.Hypernode].PurgeLine(key), &rep)
 	}
 
 	// Install in the local global buffer and attach to the SCI list,
@@ -473,7 +413,7 @@ func (s *System) globalFill(now sim.Cycles, cpu topology.CPUID, key topology.Lin
 
 	if write {
 		// Fetch-exclusive: purge every other sharer.
-		t = s.purgeRemote(t, myHN, s.ring(home.FU), key, myHN, &rep)
+		t = s.purgeRemote(t, myHN, ringIdx, key, myHN, &rep)
 		s.dirs[myHN].RecordWrite(key, cpu)
 	} else {
 		s.dirs[myHN].RecordRead(key, cpu)
@@ -525,7 +465,7 @@ func (s *System) evictIfFull(now sim.Cycles, hn, ringIdx int) sim.Cycles {
 		t += sim.Cycles(s.P.SCIListVisit)
 		for _, cpu := range s.dirs[hn].PurgeLine(victim) {
 			s.caches[cpu].Invalidate(victim)
-			s.Stats[cpu].InvalsReceived++
+			s.stats.InvalsReceived++
 		}
 	}
 	s.bufferFIFO[hn] = fifo
@@ -557,12 +497,7 @@ func (s *System) purgeRemote(now sim.Cycles, fromHN, ringIdx int, key topology.L
 	for _, hn := range victims {
 		t = s.Rings.Send(t, ringIdx, at, hn, topology.CacheLineBytes)
 		t += sim.Cycles(s.P.SCIListVisit)
-		for _, cpu := range s.dirs[hn].PurgeLine(key) {
-			t += sim.Cycles(s.P.InvalPerCopy)
-			s.caches[cpu].Invalidate(key)
-			s.Stats[cpu].InvalsReceived++
-			rep.Invalidated = append(rep.Invalidated, Invalidation{CPU: cpu, At: t})
-		}
+		t = s.killAll(t, key, s.dirs[hn].PurgeLine(key), rep)
 		at = hn
 	}
 	return t
@@ -597,18 +532,5 @@ func (s *System) UncachedRMW(now sim.Cycles, cpu topology.CPUID, sp topology.Spa
 	return bankDone
 }
 
-// TotalCounters sums the per-CPU counters.
-func (s *System) TotalCounters() Counters {
-	var tot Counters
-	for i := range s.Stats {
-		c := s.Stats[i]
-		tot.Accesses += c.Accesses
-		tot.Hits += c.Hits
-		tot.LocalMisses += c.LocalMisses
-		tot.HypernodeMisses += c.HypernodeMisses
-		tot.GlobalMisses += c.GlobalMisses
-		tot.InvalsReceived += c.InvalsReceived
-		tot.StallCycles += c.StallCycles
-	}
-	return tot
-}
+// TotalCounters returns the machine-wide tally.
+func (s *System) TotalCounters() Counters { return s.stats }

@@ -1,9 +1,11 @@
 package memsys
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"spp1000/internal/counters"
 	"spp1000/internal/rng"
 	"spp1000/internal/sim"
 	"spp1000/internal/topology"
@@ -24,8 +26,8 @@ func TestCacheHitIsOneCycle(t *testing.T) {
 	cpu := topology.MakeCPU(0, 0, 0)
 	s.Access(0, cpu, sp, 0, false) // cold miss
 	rep := s.Access(1000, cpu, sp, 0, false)
-	if !rep.WasHit || rep.Done != 1000+sim.Cycles(s.P.CacheHit) {
-		t.Fatalf("hit report = %+v", rep)
+	if hits := s.TotalCounters().Hits; hits != 1 || rep.Done != 1000+sim.Cycles(s.P.CacheHit) {
+		t.Fatalf("hit report = %+v, hits = %d", rep, hits)
 	}
 }
 
@@ -69,7 +71,7 @@ func TestGlobalMissApproxEightTimesLocal(t *testing.T) {
 	near := s.Alloc("near", topology.NearShared, 0, 0)
 
 	repG := s.Access(0, cpu, remote, 0, false)
-	if !repG.WasGlobal {
+	if s.TotalCounters().GlobalMisses != 1 {
 		t.Fatal("access to hn1-homed line from hn0 should be global")
 	}
 	repN := s.Access(100000, cpu, near, 0, false)
@@ -89,7 +91,7 @@ func TestGlobalBufferMakesReaccessLocal(t *testing.T) {
 
 	s.Access(0, cpuA, remote, 0, false) // global fetch, installs buffer copy
 	rep := s.Access(100000, cpuB, remote, 0, false)
-	if rep.WasGlobal {
+	if s.TotalCounters().GlobalMisses != 1 {
 		t.Fatal("second access from the same hypernode should hit the global buffer")
 	}
 	lat := int64(rep.Done - 100000)
@@ -111,9 +113,10 @@ func TestWriteInvalidatesSharers(t *testing.T) {
 		t.Fatalf("invalidated %d copies, want %d", len(rep.Invalidated), len(readers))
 	}
 	// Victims' subsequent reads must miss.
+	hits := s.TotalCounters().Hits
 	for _, c := range readers {
-		r := s.Access(2000, c, sp, 0, false)
-		if r.WasHit {
+		s.Access(2000, c, sp, 0, false)
+		if s.TotalCounters().Hits != hits {
 			t.Fatalf("cpu %v should have lost its copy", c)
 		}
 	}
@@ -208,13 +211,9 @@ func TestStatsAccounting(t *testing.T) {
 	cpu := topology.MakeCPU(0, 0, 0)
 	s.Access(0, cpu, sp, 0, false)
 	s.Access(1000, cpu, sp, 0, false)
-	c := s.Stats[cpu]
+	c := s.TotalCounters()
 	if c.Accesses != 2 || c.Hits != 1 || c.GlobalMisses != 1 {
 		t.Fatalf("counters = %+v", c)
-	}
-	tot := s.TotalCounters()
-	if tot.Accesses != 2 {
-		t.Fatalf("total counters = %+v", tot)
 	}
 }
 
@@ -251,8 +250,9 @@ func TestGlobalBufferCapacityEviction(t *testing.T) {
 	}
 	// The evicted line 0 is a full global fetch again (its cache copy
 	// also died with the rollout).
-	rep := s.Access(now, cpu, remote, 0, false)
-	if !rep.WasGlobal {
+	global := s.TotalCounters().GlobalMisses
+	s.Access(now, cpu, remote, 0, false)
+	if s.TotalCounters().GlobalMisses != global+1 {
 		t.Fatal("re-access to an evicted line should be a global fetch")
 	}
 	if err := s.SCI.CheckInvariants(); err != nil {
@@ -346,5 +346,50 @@ func TestWriteExclusivityAcrossMachine(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A write that displaces a dirty owner in the writer's hypernode waits
+// for the owner's writeback and then kills its copy once, one
+// InvalPerCopy later — whether the line is homed here or is a remote
+// line in this hypernode's global buffer.
+func TestWriteKillsDirtyOwnerOnce(t *testing.T) {
+	for _, host := range []int{0, 1} {
+		s := newSys(t, 2)
+		sp := s.Alloc("x", topology.NearShared, host, 0)
+		a := topology.MakeCPU(0, 0, 0)
+		b := topology.MakeCPU(0, 0, 1) // same FU, which homes line 0
+		s.Access(0, a, sp, 0, true)
+		const issue = 100000
+		rep := s.Access(issue, b, sp, 0, true)
+		killed := issue + sim.Cycles(s.P.DirLookup+s.P.WriteBack+s.P.InvalPerCopy)
+		if want := []Invalidation{{CPU: a, At: killed}}; !slices.Equal(rep.Invalidated, want) {
+			t.Errorf("line homed on hn%d: invalidated %+v, want %+v", host, rep.Invalidated, want)
+		}
+		if want := killed + sim.Cycles(s.P.LocalMiss); rep.Done != want {
+			t.Errorf("line homed on hn%d: done at %d, want %d", host, rep.Done, want)
+		}
+		if got := s.TotalCounters().InvalsReceived; got != 1 {
+			t.Errorf("line homed on hn%d: %d invalidations received, want 1", host, got)
+		}
+	}
+}
+
+// Every invalidation the memory system tallies is one the caches saw:
+// InvalsReceived equals the caches' invalidations counter on the random
+// workload, in every pinned configuration.
+func TestInvalidationsReconcile(t *testing.T) {
+	for _, hn := range []int{2, 4} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			for _, set := range pinSettings {
+				r := counters.NewRegistry()
+				s := newPinSystem(t, hn, set, r)
+				playRandom(s, seed, func(sim.Cycles, []Invalidation) {})
+				got := s.TotalCounters().InvalsReceived
+				if want := r.Snapshot().GroupTotal("cache", "invalidations"); got != want {
+					t.Errorf("hn%d/seed%d/%s: InvalsReceived %d, cache invalidations %d", hn, seed, set.name, got, want)
+				}
+			}
+		}
 	}
 }
