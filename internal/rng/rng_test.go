@@ -117,19 +117,6 @@ func TestIntnPanicsOnZero(t *testing.T) {
 	New(1).Intn(0)
 }
 
-func TestShuffleIsPermutation(t *testing.T) {
-	r := New(9)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	seen := make([]bool, len(xs))
-	for _, x := range xs {
-		if seen[x] {
-			t.Fatalf("shuffle lost elements: %v", xs)
-		}
-		seen[x] = true
-	}
-}
-
 // normalsHash hashes the bit patterns of the first n NormFloat64
 // values, then of the first n Maxwellian(1.5) values, of a fresh
 // generator seeded with seed.

@@ -149,46 +149,6 @@ func trimFloat(x float64) string {
 	return fmt.Sprintf("%g", x)
 }
 
-// Mean returns the arithmetic mean (0 for empty input).
-//
-//simlint:allow deadexport deferred sweep: test-only; deleting it also deletes its dedicated test (queued on ROADMAP)
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// Min returns the smallest value (+Inf for empty input).
-//
-//simlint:allow deadexport deferred sweep: test-only; deleting it also deletes its dedicated test (queued on ROADMAP)
-func Min(xs []float64) float64 {
-	m := math.Inf(1)
-	for _, x := range xs {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest value (-Inf for empty input).
-//
-//simlint:allow deadexport deferred sweep: test-only; deleting it also deletes its dedicated test (queued on ROADMAP)
-func Max(xs []float64) float64 {
-	m := math.Inf(-1)
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Slope fits a least-squares line to the series and returns its slope.
 //
 //simlint:allow deadexport reference least-squares fit the microbench and integration tests compare simulated latencies against

@@ -51,16 +51,6 @@ func TestRenderSeriesUnion(t *testing.T) {
 	}
 }
 
-func TestMeanMinMax(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	if Mean(xs) != 2 || Min(xs) != 1 || Max(xs) != 3 {
-		t.Fatalf("mean/min/max = %v/%v/%v", Mean(xs), Min(xs), Max(xs))
-	}
-	if Mean(nil) != 0 {
-		t.Fatal("Mean(nil) should be 0")
-	}
-}
-
 func TestSlopeExactLine(t *testing.T) {
 	pts := []Point{{0, 1}, {1, 3}, {2, 5}, {3, 7}}
 	if s := Slope(pts); s < 1.999 || s > 2.001 {
