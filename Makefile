@@ -88,14 +88,31 @@ faultmatrix:
 	$(GO) test -race -run 'TestBackendKillMidSweep|TestPeerFetchFailureRecomputes|TestGatewayForwardFaultEvicts|TestPeerProbeStaleWindowRetry' ./internal/gateway
 	$(MAKE) checkpoint
 
-# The checkpoint/resume gate: snapshot encoding round-trips and
-# corruption (and stale-format) rejection, the kill-at-every-boundary resume-exactness sweep (byte-identical output
-# and exactly equal sim totals at -simpar 1/2/4), and the service's
-# checkpointed-job lifecycle — all under the race detector.
+# The checkpoint/resume gate, under the race detector: checkpoint
+# round-trips and rejection of malformed, corrupt and retired-format
+# checkpoints, the kill-at-every-boundary resume-exactness sweep
+# (byte-identical output at -simpar 1/2/4), and the service's
+# checkpointed-job lifecycle. Then sppbench's checkpoint file end to
+# end: a -checkpoint run, a -resume of the completed file, and a -resume
+# of a copy with one payload byte flipped (which must print the corrupt
+# notice and start fresh) must each print what a plain run prints.
 checkpoint:
 	$(GO) test -race ./internal/snapshot
 	$(GO) test -race -run 'TestCheckpoint' ./internal/experiments
 	$(GO) test -race -run 'TestDeadline|TestRestartResumes|TestDefaultRunnerCheckpoints' ./internal/service
+	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	$(GO) build -o $$d/sppbench ./cmd/sppbench; \
+	run() { $$d/sppbench -quick -exp fig2,tab1 "$$@"; }; \
+	run > $$d/plain.txt; \
+	run -checkpoint $$d/run.ckpt > $$d/ckpt.txt; cmp $$d/plain.txt $$d/ckpt.txt; \
+	cp $$d/run.ckpt $$d/bad.ckpt; \
+	run -resume $$d/run.ckpt > $$d/resumed.txt 2> $$d/resumed.err; cmp $$d/plain.txt $$d/resumed.txt; test ! -s $$d/resumed.err; \
+	off=$$(( $$(head -n1 $$d/bad.ckpt | wc -c) + 40 )); \
+	b=$$(od -An -tu1 -j $$off -N1 $$d/bad.ckpt | tr -d ' '); \
+	printf "$$(printf '\\%03o' $$(( b ^ 1 )))" | dd of=$$d/bad.ckpt bs=1 seek=$$off conv=notrunc 2>/dev/null; \
+	run -resume $$d/bad.ckpt > $$d/flipped.txt 2> $$d/flipped.err; cmp $$d/plain.txt $$d/flipped.txt; \
+	grep -q 'was corrupt and has been deleted' $$d/flipped.err; \
+	echo 'sppbench -checkpoint/-resume: byte-identical to a plain run; bit-flipped checkpoint deleted'
 
 # The partitioned-engine gate: the parsim coordinator unit tests and
 # the serial-vs-PDES golden-equality suite (every experiment at

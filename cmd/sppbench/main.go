@@ -21,7 +21,8 @@
 // one simulation on the PDES engine (internal/parsim); output is
 // byte-identical for any -simpar value too. A checkpointed run killed
 // at any boundary and resumed prints byte-identical output as well —
-// the resume-exactness guarantee internal/snapshot's tests enforce.
+// the resume-exactness guarantee that TestCheckpointKillAtEveryBoundary
+// in internal/experiments enforces.
 package main
 
 import (
@@ -104,7 +105,7 @@ func main() {
 	}
 	if *checkpoint != "" || *resume != "" {
 		if *withCounters {
-			fmt.Fprintln(os.Stderr, "sppbench: -counters cannot combine with -checkpoint/-resume (the checkpointed driver records counters in the checkpoint itself)")
+			fmt.Fprintln(os.Stderr, "sppbench: -counters cannot combine with -checkpoint/-resume (a resumed run cannot print counters for the experiments it skips)")
 			os.Exit(2)
 		}
 		path := *checkpoint

@@ -46,32 +46,6 @@ func (c *Collector) merge(group string, counters map[string]int64, hists map[str
 	}
 }
 
-// Merge folds a previously taken Snapshot into the collector — the
-// restore half of checkpointing: a resumed run seeds its collector with
-// the checkpoint's counter snapshot, and because merging is commutative
-// the final totals equal an uninterrupted run's exactly.
-func (c *Collector) Merge(s Snapshot) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, gs := range s.Groups {
-		var counters map[string]int64
-		if len(gs.Counters) > 0 {
-			counters = make(map[string]int64, len(gs.Counters))
-			for _, cv := range gs.Counters {
-				counters[cv.Name] = cv.Value
-			}
-		}
-		var hists map[string]HistogramValue
-		if len(gs.Histograms) > 0 {
-			hists = make(map[string]HistogramValue, len(gs.Histograms))
-			for _, hv := range gs.Histograms {
-				hists[hv.Name] = hv
-			}
-		}
-		c.merge(gs.Name, counters, hists)
-	}
-}
-
 // Snapshot copies the merged totals, deterministically sorted.
 func (c *Collector) Snapshot() Snapshot {
 	c.mu.Lock()

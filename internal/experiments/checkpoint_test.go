@@ -12,14 +12,13 @@ import (
 	"spp1000/internal/snapshot"
 )
 
-// TestCheckpointKillAtEveryBoundary is the resume-exactness gate from
-// the checkpoint PR: a run killed at ANY checkpoint boundary and resumed
-// must produce byte-identical outputs and exactly equal sim-cycle/event
-// and PMU counter totals versus an uninterrupted run — at -simpar 1, 2,
+// TestCheckpointKillAtEveryBoundary is the resume-exactness gate: a
+// run killed at ANY checkpoint boundary and resumed must produce
+// byte-identical outputs versus an uninterrupted run — at -simpar 1, 2,
 // and 4, under -race (`make checkpoint` / `make faultmatrix`). The
-// final-checkpoint byte equality is the strongest form: outputs, sim
-// totals, and counter snapshot all live inside the encoding, so one
-// bytes.Equal covers the whole contract.
+// final-checkpoint byte equality is the strongest form: spec key, suite
+// and every rendered output live inside the encoding, so one
+// bytes.Equal covers the whole record.
 func TestCheckpointKillAtEveryBoundary(t *testing.T) {
 	o := Quick()
 	names := []string{"fig2", "tab1", "scalepar"} // scalepar exercises the PDES engine
@@ -56,10 +55,6 @@ func TestCheckpointKillAtEveryBoundary(t *testing.T) {
 				}
 				if got, want := strings.Join(outs, "\x00"), strings.Join(refOuts, "\x00"); got != want {
 					t.Fatalf("boundary %d: resumed outputs diverge from the uninterrupted run", b)
-				}
-				if final.SimCycles != refFinal.SimCycles || final.SimEvents != refFinal.SimEvents {
-					t.Fatalf("boundary %d: resumed totals (cycles=%d events=%d), uninterrupted (cycles=%d events=%d)",
-						b, final.SimCycles, final.SimEvents, refFinal.SimCycles, refFinal.SimEvents)
 				}
 				if !bytes.Equal(final.Encode(), refBytes) {
 					t.Fatalf("boundary %d: resumed final checkpoint is not byte-identical to the uninterrupted run's", b)

@@ -1,8 +1,7 @@
 // Package fft provides the fast-Fourier-transform substrate that the
 // PIC code's Poisson solver calls in place of Convex VECLIB (paper
-// §5.1.1): an iterative radix-2 complex transform, multi-dimensional
-// transforms over 3-D grids, and a periodic Poisson solver in
-// wavenumber space.
+// §5.1.1): an iterative radix-2 complex transform and
+// multi-dimensional transforms over 3-D grids.
 package fft
 
 import (
@@ -138,47 +137,6 @@ func transform3(g *Grid3, f func([]complex128) error) error {
 		}
 	}
 	return nil
-}
-
-// SolvePoisson solves ∇²φ = −ρ on a periodic unit-spaced grid: ρ is
-// transformed, divided by −k², and transformed back; the k=0 (mean)
-// mode is set to zero. rho and phi may alias.
-//
-//simlint:allow deadexport deferred sweep: test-only; deleting it also deletes its two dedicated tests (queued on ROADMAP)
-func SolvePoisson(rho *Grid3, phi *Grid3) error {
-	if rho != phi {
-		copy(phi.Data, rho.Data)
-		phi.NX, phi.NY, phi.NZ = rho.NX, rho.NY, rho.NZ
-	}
-	if err := Forward3(phi); err != nil {
-		return err
-	}
-	nx, ny, nz := phi.NX, phi.NY, phi.NZ
-	for k := 0; k < nz; k++ {
-		kz := wavenumber(k, nz)
-		for j := 0; j < ny; j++ {
-			ky := wavenumber(j, ny)
-			for i := 0; i < nx; i++ {
-				kx := wavenumber(i, nx)
-				k2 := kx*kx + ky*ky + kz*kz
-				idx := phi.Index(i, j, k)
-				if k2 == 0 {
-					phi.Data[idx] = 0
-					continue
-				}
-				// ∇²φ = −ρ  ⇒  −k²φ̂ = −ρ̂  ⇒  φ̂ = ρ̂ / k².
-				phi.Data[idx] /= complex(k2, 0)
-			}
-		}
-	}
-	return Inverse3(phi)
-}
-
-// wavenumber maps grid index i of an n-point axis to the discrete
-// Laplacian eigen-wavenumber 2 sin(π i / n) · n/L with L = n (unit
-// spacing): k_eff = 2 sin(π i / n).
-func wavenumber(i, n int) float64 {
-	return 2 * math.Sin(math.Pi*float64(i)/float64(n))
 }
 
 // Flops estimates the floating-point operations of one n-point complex

@@ -132,64 +132,6 @@ func TestGrid3RoundTrip(t *testing.T) {
 	}
 }
 
-// TestPoissonPlaneWave: for ρ = cos(2πm·x/n), the solution of ∇²φ = −ρ
-// with the discrete k is φ = ρ / k_eff².
-func TestPoissonPlaneWave(t *testing.T) {
-	n, m := 32, 3
-	g, _ := NewGrid3(n, 1, 1)
-	for i := 0; i < n; i++ {
-		g.Data[i] = complex(math.Cos(2*math.Pi*float64(m)*float64(i)/float64(n)), 0)
-	}
-	phi, _ := NewGrid3(n, 1, 1)
-	if err := SolvePoisson(g, phi); err != nil {
-		t.Fatal(err)
-	}
-	keff := 2 * math.Sin(math.Pi*float64(m)/float64(n))
-	for i := 0; i < n; i++ {
-		want := math.Cos(2*math.Pi*float64(m)*float64(i)/float64(n)) / (keff * keff)
-		if math.Abs(real(phi.Data[i])-want) > 1e-9 {
-			t.Fatalf("phi[%d] = %v, want %v", i, real(phi.Data[i]), want)
-		}
-		if math.Abs(imag(phi.Data[i])) > 1e-9 {
-			t.Fatalf("phi[%d] has imaginary part %v", i, imag(phi.Data[i]))
-		}
-	}
-}
-
-// TestPoissonDiscreteLaplacian: applying the 7-point discrete Laplacian
-// to the solution recovers −ρ (up to the removed mean).
-func TestPoissonDiscreteLaplacian(t *testing.T) {
-	nx, ny, nz := 8, 8, 8
-	rho, _ := NewGrid3(nx, ny, nz)
-	r := rng.New(17)
-	var mean float64
-	for i := range rho.Data {
-		v := r.Float64() - 0.5
-		rho.Data[i] = complex(v, 0)
-		mean += v
-	}
-	mean /= float64(len(rho.Data))
-	phi, _ := NewGrid3(nx, ny, nz)
-	if err := SolvePoisson(rho, phi); err != nil {
-		t.Fatal(err)
-	}
-	wrap := func(i, n int) int { return (i + n) % n }
-	for k := 0; k < nz; k++ {
-		for j := 0; j < ny; j++ {
-			for i := 0; i < nx; i++ {
-				lap := real(phi.At(wrap(i+1, nx), j, k)) + real(phi.At(wrap(i-1, nx), j, k)) +
-					real(phi.At(i, wrap(j+1, ny), k)) + real(phi.At(i, wrap(j-1, ny), k)) +
-					real(phi.At(i, j, wrap(k+1, nz))) + real(phi.At(i, j, wrap(k-1, nz))) -
-					6*real(phi.At(i, j, k))
-				want := -(real(rho.At(i, j, k)) - mean)
-				if math.Abs(lap-want) > 1e-8 {
-					t.Fatalf("Laplacian mismatch at (%d,%d,%d): %v vs %v", i, j, k, lap, want)
-				}
-			}
-		}
-	}
-}
-
 func TestFlopsEstimates(t *testing.T) {
 	if Flops(1) != 0 {
 		t.Fatal("Flops(1) should be 0")

@@ -20,15 +20,16 @@ func eventsProcessed(c *Coordinator) int64 {
 	return n
 }
 
-// clusterCounters merges the per-node registries into one machine-wide
-// snapshot: per-hypernode groups (cache.hn<N>, …) are distinct by
-// construction (machine.Config.NodeIndex), machine-wide groups (mem,
-// sci, ring, threads) sum across nodes.
-func clusterCounters(c *Cluster) counters.Snapshot {
+// collect runs fn with a fresh collector attached and returns what
+// Cluster.Run published into it — one machine-wide snapshot:
+// per-hypernode groups (cache.hn<N>, …) are distinct by construction
+// (machine.Config.NodeIndex), machine-wide groups (mem, sci, ring,
+// threads) sum across nodes.
+func collect(fn func()) counters.Snapshot {
 	coll := counters.NewCollector()
-	for _, n := range c.Nodes {
-		coll.Merge(n.M.Counters.Snapshot())
-	}
+	counters.Attach(coll)
+	defer counters.Detach(coll)
+	fn()
 	return coll.Snapshot()
 }
 
@@ -182,11 +183,14 @@ func TestClusterTeamDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		elapsed, err := cl.RunTeam(procs, func(th *machine.Thread, tid int) {
-			for s := 0; s < 3; s++ {
-				th.ComputeCycles(int64(1000 * (tid%4 + 1)))
-				bar.Wait(th, tid/8)
-			}
+		var elapsed sim.Cycles
+		snap := collect(func() {
+			elapsed, err = cl.RunTeam(procs, func(th *machine.Thread, tid int) {
+				for s := 0; s < 3; s++ {
+					th.ComputeCycles(int64(1000 * (tid%4 + 1)))
+					bar.Wait(th, tid/8)
+				}
+			})
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -195,7 +199,7 @@ func TestClusterTeamDeterminism(t *testing.T) {
 		for i, n := range cl.Nodes {
 			ev = append(ev, fmt.Sprintf("p%d=%d", i, n.M.K.EventsProcessed()))
 		}
-		return elapsed, strings.Join(ev, " "), clusterCounters(cl).Render("counters")
+		return elapsed, strings.Join(ev, " "), snap.Render("counters")
 	}
 	var baseElapsed sim.Cycles
 	var baseEvents, baseCounters string
@@ -244,10 +248,10 @@ func TestClusterTeamCountsLikeForkJoin(t *testing.T) {
 	for _, n := range cl.Nodes {
 		n.M.EnableCounters()
 	}
-	if _, err := cl.RunTeam(procs, body); err != nil {
+	part := collect(func() { _, err = cl.RunTeam(procs, body) })
+	if err != nil {
 		t.Fatal(err)
 	}
-	part := clusterCounters(cl)
 
 	for _, name := range []string{"forks", "joins", "spawn_local", "spawn_remote", "runtime_inits"} {
 		want := mono.Counter("threads", name)

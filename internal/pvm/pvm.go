@@ -151,19 +151,3 @@ func (t *Task) RecvFrom(src, tag int) *Message {
 	t.Received++
 	return msg
 }
-
-// TryRecv returns the next message if one is already queued or stashed,
-// without blocking; ok=false when none is available.
-//
-//simlint:allow deadexport deferred sweep: test-only; deleting it also deletes its dedicated test (queued on ROADMAP)
-func (t *Task) TryRecv() (*Message, bool) {
-	if len(t.stash) == 0 && t.mbox.Len() == 0 {
-		return nil, false
-	}
-	return t.Recv(), true
-}
-
-// Pending reports queued plus stashed message count.
-//
-//simlint:allow deadexport deferred sweep: test-only; deleting it also deletes its dedicated test (queued on ROADMAP)
-func (t *Task) Pending() int { return t.mbox.Len() + len(t.stash) }

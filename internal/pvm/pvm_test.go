@@ -134,41 +134,6 @@ func TestPayloadCarried(t *testing.T) {
 	}
 }
 
-func TestTryRecvAndPending(t *testing.T) {
-	m, _ := machine.New(machine.Config{Hypernodes: 1})
-	sys := NewSystem(m)
-	ready := m.K.NewEvent("ready")
-	var rx *Task
-	okEmpty := true
-	var gotLater bool
-	m.Spawn("rx", topology.MakeCPU(0, 1, 0), func(th *machine.Thread) {
-		rx = sys.AddTask(th)
-		if _, ok := rx.TryRecv(); ok {
-			okEmpty = false
-		}
-		ready.Set()
-		th.Delay(100000)
-		if rx.Pending() != 1 {
-			t.Errorf("pending = %d, want 1", rx.Pending())
-		}
-		_, gotLater = rx.TryRecv()
-	})
-	m.Spawn("tx", topology.MakeCPU(0, 0, 0), func(th *machine.Thread) {
-		tx := sys.AddTask(th)
-		ready.Wait(th.P)
-		tx.Send(rx.ID(), 0, 64, nil)
-	})
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !okEmpty {
-		t.Fatal("TryRecv on empty mailbox should report false")
-	}
-	if !gotLater {
-		t.Fatal("TryRecv should find the delivered message")
-	}
-}
-
 func TestSendToUnknownTaskPanics(t *testing.T) {
 	m, _ := machine.New(machine.Config{Hypernodes: 1})
 	sys := NewSystem(m)

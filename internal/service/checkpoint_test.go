@@ -9,11 +9,9 @@ package service
 // keeps it on simlint's ledger reconcile surface.
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -229,22 +227,26 @@ func TestDefaultRunnerCheckpointsRealEngine(t *testing.T) {
 		t.Fatalf("resumed result differs from the uninterrupted run (%d vs %d bytes)", len(got), len(want))
 	}
 
-	// A stale v1 checkpoint for the same spec is not resumed from: the
-	// runner recomputes and returns the fresh run's bytes, not a failed
-	// job. Its stale fig2 prefix would show in the result if it were
-	// spliced in, as the same prefix in the current format is.
+	// A stale checkpoint in the retired v2 format for the same spec is
+	// not resumed from: the runner recomputes and returns the fresh run's
+	// bytes, not a failed job. Its stale fig2 prefix would show in the
+	// result if it were spliced in, as the same prefix in the current
+	// format is.
 	spec, err := experiments.Spec{Experiments: []string{"fig2", "fig3"}, Options: experiments.Quick()}.Normalize()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !strings.Contains(v2Checkpoint, "speckey="+spec.Key()+"\n") {
+		t.Fatal("v2Checkpoint no longer carries this spec's key; the stale-prior case would pass for the wrong reason")
+	}
+	out, _, err := DefaultRunCheckpointed(context.Background(), spec, []byte(v2Checkpoint), nil)
+	if err != nil || out != want {
+		t.Fatalf("v2 prior: err %v, result differs from a fresh run (%d vs %d bytes)", err, len(out), len(want))
 	}
 	stale := &snapshot.Checkpoint{
 		SpecKey: spec.Key(),
 		Names:   spec.Experiments,
 		Done:    []snapshot.ExperimentResult{{Name: "fig2", Output: "stale fig2 output"}},
-	}
-	out, _, err := DefaultRunCheckpointed(context.Background(), spec, v1Checkpoint(t, stale), nil)
-	if err != nil || out != want {
-		t.Fatalf("v1 prior: err %v, result differs from a fresh run (%d vs %d bytes)", err, len(out), len(want))
 	}
 	out, _, err = DefaultRunCheckpointed(context.Background(), spec, stale.Encode(), nil)
 	if err != nil || !strings.Contains(out, "stale fig2 output") {
@@ -252,25 +254,26 @@ func TestDefaultRunnerCheckpointsRealEngine(t *testing.T) {
 	}
 }
 
-// v1Checkpoint renders c in the v1 archive format: the spp-snapshot-v1
-// magic and a fourth, regions section after the counters.
-func v1Checkpoint(t *testing.T, c *snapshot.Checkpoint) []byte {
-	t.Helper()
-	a, err := snapshot.Decode(c.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b bytes.Buffer
-	b.WriteString("spp-snapshot-v1\n")
-	for _, name := range []string{"meta", "outputs", "counters"} {
-		data, _ := a.Section(name)
-		fmt.Fprintf(&b, "section %s %d\n%s\n", name, len(data), data)
-	}
-	regions := `[{"name":"fig2","cycles":1,"events":1,"digest":"` + strings.Repeat("0", 64) + `"}]`
-	fmt.Fprintf(&b, "section regions %d\n%s\n", len(regions), regions)
-	fmt.Fprintf(&b, "end 4 %08x\n", crc32.ChecksumIEEE(b.Bytes()))
-	return b.Bytes()
-}
+// v2Checkpoint is a frozen checkpoint in the retired spp-snapshot-v2
+// format for the quick fig2,fig3 suite, byte for byte as that format
+// wrote it: a CRC-framed archive of meta, outputs and counters
+// sections. internal/snapshot's strictness test holds the same bytes.
+const v2Checkpoint = `spp-snapshot-v2
+section meta 114
+speckey=745874d758bd6a15c45aff5f1ec8c8b167d0802f5f76886e0d0aa2dc4ac4e94a
+names=fig2,fig3
+cycles=0
+events=0
+done=1
+
+section outputs 30
+exp fig2 17
+stale fig2 output
+
+section counters 15
+{"groups":null}
+end 3 a573ccda
+`
 
 // TestFaultInjectedCheckpointStoreFailuresCounted: checkpoint I/O is
 // store I/O. With every durable write failing, a run that saves three

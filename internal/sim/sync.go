@@ -154,6 +154,3 @@ func (q *Queue) Get(p *Proc) interface{} {
 	}
 	return v
 }
-
-// Len reports the number of queued values.
-func (q *Queue) Len() int { return len(q.items) }

@@ -3,124 +3,43 @@ package snapshot
 import (
 	"bytes"
 	"errors"
-	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
-	"spp1000/internal/counters"
 	"spp1000/internal/store"
 )
 
-func TestArchiveRoundTrip(t *testing.T) {
-	a := New()
-	if err := a.Add("meta", []byte("speckey=abc\n")); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Add("outputs", []byte("payload with\nembedded newlines\nand no terminator")); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Add("empty", nil); err != nil {
-		t.Fatal(err)
-	}
-	enc := a.Encode()
-	b, err := Decode(enc)
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	for _, name := range []string{"meta", "outputs", "empty"} {
-		want, _ := a.Section(name)
-		got, ok := b.Section(name)
-		if !ok || !bytes.Equal(got, want) {
-			t.Fatalf("section %s: got %q want %q (ok=%v)", name, got, want, ok)
-		}
-	}
-	if !bytes.Equal(b.Encode(), enc) {
-		t.Fatal("re-encode is not byte-identical")
-	}
-}
-
-func TestArchiveAddRejects(t *testing.T) {
-	a := New()
-	for _, name := range []string{"", "Upper", "has space", "x\ny", strings.Repeat("a", 65)} {
-		if err := a.Add(name, nil); err == nil {
-			t.Fatalf("Add(%q) accepted an invalid name", name)
-		}
-	}
-	if err := a.Add("dup", nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Add("dup", nil); err == nil {
-		t.Fatal("duplicate section accepted")
-	}
-}
-
-func TestArchiveDecodeRejectsCorruption(t *testing.T) {
-	a := New()
-	a.Add("meta", []byte("hello world"))
-	a.Add("data", bytes.Repeat([]byte{0xAB}, 64))
-	enc := a.Encode()
-
-	cases := map[string][]byte{
-		"bad magic":      append([]byte("spp-snapshot-v9\n"), enc[len(archiveMagic)+1:]...),
-		"truncated":      enc[:len(enc)/2],
-		"no newline":     []byte(archiveMagic),
-		"trailing bytes": append(append([]byte(nil), enc...), []byte("extra")...),
-		"empty":          nil,
-	}
-	// A single flipped bit inside a section payload must fail the CRC.
-	flipped := append([]byte(nil), enc...)
-	flipped[bytes.Index(flipped, []byte("hello"))] ^= 0x01
-	cases["bit flip"] = flipped
-	// A section declaring more bytes than the archive holds.
-	cases["overlong decl"] = []byte(archiveMagic + "\nsection meta 9999\nxx\nend 1 00000000\n")
-
-	for name, data := range cases {
-		if _, err := Decode(data); err == nil {
-			t.Fatalf("%s: Decode accepted corrupt input", name)
-		}
-	}
-
-	// Sanity: the untouched encoding still decodes.
-	if _, err := Decode(enc); err != nil {
-		t.Fatalf("pristine archive failed: %v", err)
-	}
-}
-
 func testCheckpoint() *Checkpoint {
-	reg := counters.NewRegistry()
-	g := reg.Group("cpu0.pmu")
-	g.Counter("cache_miss").Add(42)
-	g.Counter("cycles").Add(1000)
 	return &Checkpoint{
-		SpecKey:   "abcdef0123456789",
-		Names:     []string{"fig2", "tab1", "fig6"},
-		Done:      []ExperimentResult{{Name: "fig2", Output: "line one\nline two\n"}, {Name: "tab1", Output: ""}},
-		SimCycles: 123456,
-		SimEvents: 789,
-		Counters:  reg.Snapshot(),
+		SpecKey: "abcdef0123456789",
+		Names:   []string{"fig2", "tab1", "fig6"},
+		Done:    []ExperimentResult{{Name: "fig2", Output: "line one\nline two\n"}, {Name: "tab1", Output: ""}},
 	}
 }
 
-// v1Archive renders c the way the v1 format wrote it: the
-// spp-snapshot-v1 magic, and a fourth section of region signatures
-// after the counters.
-func v1Archive(c *Checkpoint) []byte {
-	a, _ := Decode(c.Encode())
-	var b bytes.Buffer
-	b.WriteString("spp-snapshot-v1\n")
-	for _, name := range []string{sectionMeta, sectionOutputs, sectionCounters} {
-		data, _ := a.Section(name)
-		fmt.Fprintf(&b, "section %s %d\n%s\n", name, len(data), data)
-	}
-	regions := `[{"name":"fig2","cycles":100000,"events":500,"digest":"` + strings.Repeat("0", 64) + `"}]`
-	fmt.Fprintf(&b, "section regions %d\n%s\n", len(regions), regions)
-	fmt.Fprintf(&b, "end 4 %08x\n", crc32.ChecksumIEEE(b.Bytes()))
-	return b.Bytes()
-}
+// v2Checkpoint is a frozen checkpoint in the retired spp-snapshot-v2
+// format (a CRC-framed archive of meta, outputs and counters sections),
+// byte for byte as that format wrote it. internal/service's
+// stale-prior test holds the same bytes.
+const v2Checkpoint = `spp-snapshot-v2
+section meta 114
+speckey=745874d758bd6a15c45aff5f1ec8c8b167d0802f5f76886e0d0aa2dc4ac4e94a
+names=fig2,fig3
+cycles=0
+events=0
+done=1
+
+section outputs 30
+exp fig2 17
+stale fig2 output
+
+section counters 15
+{"groups":null}
+end 3 a573ccda
+`
 
 func TestCheckpointRoundTrip(t *testing.T) {
 	c := testCheckpoint()
@@ -141,64 +60,45 @@ func TestCheckpointRoundTrip(t *testing.T) {
 }
 
 func TestCheckpointDecodeStrictness(t *testing.T) {
-	base := testCheckpoint()
+	enc := testCheckpoint().Encode()
+	record := func(body string) []byte { return []byte(checkpointMagic + "\n" + body) }
 
 	// Done[i] out of suite order.
 	swapped := testCheckpoint()
 	swapped.Done[0], swapped.Done[1] = swapped.Done[1], swapped.Done[0]
-	if _, err := DecodeCheckpoint(swapped.Encode()); err == nil {
-		t.Fatal("out-of-order Done accepted")
-	}
-
 	// More completions than names.
 	over := testCheckpoint()
 	over.Names = over.Names[:1]
-	if _, err := DecodeCheckpoint(over.Encode()); err == nil {
-		t.Fatal("Done longer than Names accepted")
+
+	cases := map[string][]byte{
+		"empty":           nil,
+		"wrong magic":     append([]byte("spp-checkpoint-v9\n"), enc[len(checkpointMagic)+1:]...),
+		"no magic":        enc[len(checkpointMagic)+1:],
+		"retired v2":      []byte(v2Checkpoint),
+		"malformed JSON":  record(`{"spec_key":"abc","names":["fig2"`),
+		"wrong JSON type": record(`{"spec_key":"abc","names":"fig2"}`),
+		"unknown field":   record(`{"spec_key":"abc","names":["fig2"],"done":[],"sim_cycles":1}`),
+		"unknown nested":  record(`{"spec_key":"abc","names":["fig2"],"done":[{"name":"fig2","output":"","cycles":1}]}`),
+		"trailing bytes":  append(append([]byte(nil), enc...), "{}"...),
+		"trailing space":  append(append([]byte(nil), enc...), '\n'),
+		"out of order":    swapped.Encode(),
+		"Done > Names":    over.Encode(),
+	}
+	for name, data := range cases {
+		if _, err := DecodeCheckpoint(data); err == nil {
+			t.Errorf("%s: DecodeCheckpoint accepted %q", name, data)
+		}
 	}
 
-	// An unknown meta key (a future field leaking into v1).
-	a, err := Decode(base.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	meta, _ := a.Section(sectionMeta)
-	b := New()
-	b.Add(sectionMeta, append(append([]byte(nil), meta...), []byte("mystery=1\n")...))
-	outs, _ := a.Section(sectionOutputs)
-	b.Add(sectionOutputs, outs)
-	if _, err := DecodeCheckpoint(b.Encode()); err == nil {
-		t.Fatal("unknown meta key accepted")
-	}
-
-	// Missing meta section entirely.
-	noMeta := New()
-	noMeta.Add(sectionOutputs, outs)
-	if _, err := DecodeCheckpoint(noMeta.Encode()); err == nil {
-		t.Fatal("missing meta section accepted")
-	}
-
-	// An output whose declared length disagrees with the payload.
-	tampered := New()
-	tampered.Add(sectionMeta, meta)
-	tampered.Add(sectionOutputs, []byte("exp fig2 999\nshort\n"))
-	if _, err := DecodeCheckpoint(tampered.Encode()); err == nil {
-		t.Fatal("output length mismatch accepted")
-	}
-
-	// A stale v1 checkpoint, still carrying its regions section: it must
-	// not decode, and on disk it is deleted and reported corrupt.
-	v1 := v1Archive(base)
-	if _, err := DecodeCheckpoint(v1); err == nil {
-		t.Fatal("v1 archive accepted")
-	}
-	path := filepath.Join(t.TempDir(), "v1.ckpt")
-	os.WriteFile(path, store.Encode(string(v1)), 0o644)
+	// A retired-format checkpoint on disk, in an intact store frame, is
+	// deleted and reported corrupt.
+	path := filepath.Join(t.TempDir(), "v2.ckpt")
+	os.WriteFile(path, store.Encode(v2Checkpoint), 0o644)
 	if _, err := ReadFile(path); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("v1 file: err = %v, want ErrCorrupt", err)
+		t.Fatalf("v2 file: err = %v, want ErrCorrupt", err)
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatal("v1 file was not deleted")
+		t.Fatal("v2 file was not deleted")
 	}
 }
 
@@ -245,8 +145,8 @@ func TestReadFileCorruptDeletes(t *testing.T) {
 		t.Fatal("corrupt file was not deleted")
 	}
 
-	// A valid store frame wrapping a torn archive: write a real
-	// checkpoint, then truncate it so both frames break.
+	// A torn write: a real checkpoint cut short fails the store frame's
+	// declared length.
 	p2 := filepath.Join(dir, "torn.ckpt")
 	if err := WriteFile(p2, testCheckpoint()); err != nil {
 		t.Fatal(err)
@@ -258,5 +158,26 @@ func TestReadFileCorruptDeletes(t *testing.T) {
 	}
 	if _, err := os.Stat(p2); !os.IsNotExist(err) {
 		t.Fatal("torn file was not deleted")
+	}
+
+	// One flipped bit inside an output string ("line one" becomes
+	// "mine one"): the payload still decodes as a valid checkpoint, so
+	// the store frame's CRC alone must catch it.
+	p3 := filepath.Join(dir, "flipped.ckpt")
+	if err := WriteFile(p3, testCheckpoint()); err != nil {
+		t.Fatal(err)
+	}
+	data, _ = os.ReadFile(p3)
+	data[bytes.Index(data, []byte("line one"))] ^= 0x01
+	payload := data[bytes.Index(data, []byte(checkpointMagic)):]
+	if _, err := DecodeCheckpoint(payload); err != nil {
+		t.Fatalf("flipped payload should still decode, so only the frame can catch it: %v", err)
+	}
+	os.WriteFile(p3, data, 0o644)
+	if _, err := ReadFile(p3); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("bit flip: err = %v, want ErrCorrupt", err)
+	}
+	if _, err := os.Stat(p3); !os.IsNotExist(err) {
+		t.Fatal("bit-flipped file was not deleted")
 	}
 }
