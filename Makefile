@@ -6,18 +6,26 @@ GO ?= go
 BENCH_JSON ?= BENCH_15.json
 LOAD_JSON ?= LOAD_8.json
 
-.PHONY: all verify build test race bench loadcheck vet doc lint lint-annotations cover faultmatrix checkpoint pdes cluster reproduce quick serve servegw examples clean
+.PHONY: all verify build test race bench loadcheck vet fmtcheck doc lint lint-annotations cover faultmatrix checkpoint pdes cluster reproduce quick serve servegw examples clean
 
 all: build vet lint test race
 
-# Tier-1 verification chain: compile, static checks, doc coverage,
-# simulator invariants, the nested perfbench module (which `./...`
-# skips, yet calls the simulator's APIs), tests, race tests, the fault
-# matrix (which runs the checkpoint resume-exactness gate once), the
-# PDES golden-equality gate, the sharded-cluster gate, and the
-# load-harness + perf-trend gate.
+# Tier-1 verification chain: compile, static checks, formatting, doc
+# coverage, simulator invariants, the nested perfbench module (which
+# `./...` skips, yet calls the simulator's APIs), tests, race tests,
+# the fault matrix (which runs the checkpoint resume-exactness gate
+# once), the PDES golden-equality gate, the sharded-cluster gate, and
+# the load-harness + perf-trend gate.
 verify:
-	$(GO) build ./... && $(GO) vet ./... && $(GO) run ./cmd/doccheck && $(GO) run ./cmd/simlint && $(GO) -C perfbench vet ./... && $(GO) -C perfbench test -short . && $(GO) test ./... && $(GO) test -race ./... && $(MAKE) faultmatrix && $(MAKE) pdes && $(MAKE) cluster && $(MAKE) loadcheck
+	$(GO) build ./... && $(GO) vet ./... && $(MAKE) fmtcheck && $(GO) run ./cmd/doccheck && $(GO) run ./cmd/simlint && $(GO) -C perfbench vet ./... && $(GO) -C perfbench test -short . && $(GO) test ./... && $(GO) test -race ./... && $(MAKE) faultmatrix && $(MAKE) pdes && $(MAKE) cluster && $(MAKE) loadcheck
+
+# Fail when gofmt would rewrite a tracked Go file, the nested perfbench
+# module included. Lint fixtures under testdata/ are skipped: they are
+# hand-aligned around their want comments.
+GOFMT ?= gofmt
+fmtcheck:
+	@files=$$(git ls-files '*.go' | grep -v '/testdata/' | xargs $(GOFMT) -l); \
+	if [ -n "$$files" ]; then echo "not gofmt-clean:"; echo "$$files"; exit 1; fi
 
 # Fail on undocumented exported symbols of the core packages
 # (internal/sim, internal/trace, internal/runner, internal/counters,

@@ -84,10 +84,10 @@ func CompareBarrier(n int) (BarrierComparison, error) {
 					tasks[0].Recv()
 				}
 				for i := 1; i < n; i++ {
-					tasks[0].Send(i, 2, 16, nil)
+					tasks[0].Send(i, 2, 16)
 				}
 			} else {
-				tasks[tid].Send(0, 1, 16, nil)
+				tasks[tid].Send(0, 1, 16)
 				tasks[tid].Recv()
 			}
 			if th.Now() > lastOut {

@@ -130,11 +130,11 @@ func RunPVM(size Size, procs, steps int) (Result, error) {
 				th.ComputeCycles(solve)
 				for i := 1; i < procs; i++ {
 					for f := 0; f < 3; f++ {
-						tasks[0].Send(i, 100+f, gridBytes, nil)
+						tasks[0].Send(i, 100+f, gridBytes)
 					}
 				}
 			} else {
-				tasks[tid].Send(0, 1, gridBytes, nil)
+				tasks[tid].Send(0, 1, gridBytes)
 				for f := 0; f < 3; f++ {
 					tasks[tid].Recv()
 				}

@@ -66,7 +66,7 @@ type litName struct {
 }
 
 func runLedger(mp *ModulePass) error {
-	emitters := make(map[string]*Package)  // rel path -> loaded emitter package
+	emitters := make(map[string]*Package) // rel path -> loaded emitter package
 	var reconcile *Package
 	for _, pkg := range mp.Pkgs {
 		rel, ok := pkg.RelPath()

@@ -271,9 +271,8 @@ func (s *System) acquireOwnership(now sim.Cycles, cpu topology.CPUID, key topolo
 	myHN := cpu.Hypernode()
 	rep := Report{}
 	// Unlike recordLocal, no writeback is charged for a dirty previous
-	// owner. A clean copy here means there is none, except under the
-	// DisableGlobalBuffer ablation, whose global write fills leave other
-	// local copies uninvalidated; charging one would move its timings.
+	// owner: every fill path kills the other local copies of a line it
+	// writes, so while this CPU holds a clean copy there is none.
 	acts := s.dirs[myHN].RecordWrite(key, cpu)
 	t := s.killAll(now+sim.Cycles(s.P.DirLookup), key, acts.InvalidateLocal, &rep)
 	keep := -1
@@ -414,10 +413,11 @@ func (s *System) globalFill(now sim.Cycles, cpu topology.CPUID, key topology.Lin
 	if write {
 		// Fetch-exclusive: purge every other sharer.
 		t = s.purgeRemote(t, myHN, ringIdx, key, myHN, &rep)
-		s.dirs[myHN].RecordWrite(key, cpu)
-	} else {
-		s.dirs[myHN].RecordRead(key, cpu)
 	}
+	// With the global buffer on, a line it does not hold has no copies
+	// in this hypernode, so only the DisableGlobalBuffer ablation gives
+	// recordLocal anything to kill or clean here.
+	t = s.recordLocal(t, cpu, key, write, &rep)
 
 	// Crossbar leg back to the requesting CPU's FU.
 	t = s.crossbar(t, myHN, ringIdx, cpu.FU(), sim.Cycles(s.P.CrossbarTransit))

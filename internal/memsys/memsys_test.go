@@ -276,13 +276,14 @@ func TestGlobalBufferCapacityEviction(t *testing.T) {
 }
 
 // Property: directory and SCI invariants hold under random access
-// sequences from random CPUs, and reported completion times never
-// precede the start time.
+// sequences from random CPUs, with or without the global buffer, and
+// reported completion times never precede the start time.
 func TestCoherenceInvariantsUnderLoad(t *testing.T) {
-	prop := func(seed int64) bool {
+	prop := func(seed int64, noBuffer bool) bool {
 		rnd := rng.New(uint64(seed))
 		topo, _ := topology.New(2)
 		s := New(topo, topology.DefaultParams(), 64)
+		s.DisableGlobalBuffer = noBuffer
 		spaces := []topology.Space{
 			s.Alloc("a", topology.NearShared, 0, 0),
 			s.Alloc("b", topology.NearShared, 1, 0),
@@ -296,18 +297,18 @@ func TestCoherenceInvariantsUnderLoad(t *testing.T) {
 			write := rnd.Intn(3) == 0
 			rep := s.Access(now, cpu, sp, addr, write)
 			if rep.Done < now {
-				t.Logf("seed %d: completion %v before start %v", seed, rep.Done, now)
+				t.Logf("seed %d noBuffer %v: completion %v before start %v", seed, noBuffer, rep.Done, now)
 				return false
 			}
 			now += sim.Cycles(rnd.Intn(200))
 			for hn := 0; hn < topo.Hypernodes; hn++ {
 				if err := s.dirs[hn].CheckInvariants(); err != nil {
-					t.Logf("seed %d step %d: %v", seed, i, err)
+					t.Logf("seed %d noBuffer %v step %d: %v", seed, noBuffer, i, err)
 					return false
 				}
 			}
 			if err := s.SCI.CheckInvariants(); err != nil {
-				t.Logf("seed %d step %d: %v", seed, i, err)
+				t.Logf("seed %d noBuffer %v step %d: %v", seed, noBuffer, i, err)
 				return false
 			}
 		}
@@ -318,12 +319,14 @@ func TestCoherenceInvariantsUnderLoad(t *testing.T) {
 	}
 }
 
-// Property: after a write completes, no other CPU's cache holds the line.
+// Property: after a write completes, no other CPU's cache holds the
+// line, with or without the global buffer.
 func TestWriteExclusivityAcrossMachine(t *testing.T) {
-	prop := func(seed int64) bool {
+	prop := func(seed int64, noBuffer bool) bool {
 		rnd := rng.New(uint64(seed))
 		topo, _ := topology.New(2)
 		s := New(topo, topology.DefaultParams(), 64)
+		s.DisableGlobalBuffer = noBuffer
 		sp := s.Alloc("x", topology.NearShared, rnd.Intn(2), 0)
 		addr := topology.Addr(rnd.Intn(8) * 32)
 		key := topology.LineKey{Space: sp, Line: addr.Line()}
@@ -338,7 +341,7 @@ func TestWriteExclusivityAcrossMachine(t *testing.T) {
 				continue
 			}
 			if s.caches[topology.CPUID(c)].Contains(key) {
-				t.Logf("seed %d: cpu %d retains the line after write by %d", seed, c, writer)
+				t.Logf("seed %d noBuffer %v: cpu %d retains the line after write by %d", seed, noBuffer, c, writer)
 				return false
 			}
 		}

@@ -147,7 +147,7 @@ func MessageRoundTrip(bytes int, global bool) (sim.Cycles, error) {
 		ping = sys.AddTask(th)
 		ready.Wait(th.P)
 		start := th.Now()
-		ping.Send(pong.ID(), 0, bytes, nil)
+		ping.Send(pong.ID(), 0, bytes)
 		ping.Recv()
 		rt = th.Now() - start
 	})
@@ -155,7 +155,7 @@ func MessageRoundTrip(bytes int, global bool) (sim.Cycles, error) {
 		pong = sys.AddTask(th)
 		ready.Set()
 		msg := pong.Recv()
-		pong.Send(msg.Src, 0, bytes, nil)
+		pong.Send(msg.Src, 0, bytes)
 	})
 	if err := m.Run(); err != nil {
 		return 0, err
@@ -230,7 +230,7 @@ func ContentionRoundTrip(bytes, pairs, rounds int, singleRing bool) (sim.Cycles,
 			ready.Wait(th.P)
 			start := th.Now()
 			for r := 0; r < rounds; r++ {
-				pingTasks[i].Send(pongTasks[i].ID(), r, bytes, nil)
+				pingTasks[i].Send(pongTasks[i].ID(), r, bytes)
 				pingTasks[i].Recv()
 			}
 			total += th.Now() - start
@@ -241,7 +241,7 @@ func ContentionRoundTrip(bytes, pairs, rounds int, singleRing bool) (sim.Cycles,
 			reg.V()
 			for r := 0; r < rounds; r++ {
 				msg := pongTasks[i].Recv()
-				pongTasks[i].Send(msg.Src, msg.Tag, bytes, nil)
+				pongTasks[i].Send(msg.Src, msg.Tag, bytes)
 			}
 		})
 	}

@@ -22,9 +22,6 @@ type Message struct {
 	Src   int // sending task id
 	Tag   int
 	Bytes int
-	// Payload carries application data by reference (the simulated
-	// shared buffer); it is opaque to the library.
-	Payload interface{}
 }
 
 // System is one PVM virtual machine instance.
@@ -44,11 +41,6 @@ type Task struct {
 	id   int
 	th   *machine.Thread
 	mbox *sim.Queue
-	// stash holds messages received but deferred by a selective Recv.
-	stash []*Message
-	// Stats
-	Sent, Received int64
-	BytesSent      int64
 }
 
 // AddTask registers a task running on th and returns it.
@@ -67,9 +59,6 @@ func (s *System) AddTask(th *machine.Thread) *Task {
 // ID reports the task identifier (its "tid").
 func (t *Task) ID() int { return t.id }
 
-// Thread exposes the underlying simulated thread.
-func (t *Task) Thread() *machine.Thread { return t.th }
-
 // pages reports how many whole-or-partial pages a message occupies.
 func pages(bytes int) int {
 	return (bytes + topology.PageBytes - 1) / topology.PageBytes
@@ -78,7 +67,7 @@ func pages(bytes int) int {
 // Send transmits bytes to the destination task (pack + send). The sender
 // blocks for its side of the cost; delivery is scheduled at the arrival
 // time, which includes ring transit for inter-hypernode messages.
-func (t *Task) Send(dst int, tag int, bytes int, payload interface{}) {
+func (t *Task) Send(dst, tag, bytes int) {
 	if dst < 0 || dst >= len(t.sys.tasks) {
 		panic(fmt.Sprintf("pvm: send to unknown task %d", dst))
 	}
@@ -107,47 +96,20 @@ func (t *Task) Send(dst int, tag int, bytes int, payload interface{}) {
 		arrive = t.th.M.Mem.Rings.Send(t.th.Now(), ringIdx, srcHN, dstHN, bytes)
 	}
 
-	msg := &Message{Src: t.id, Tag: tag, Bytes: bytes, Payload: payload}
+	msg := &Message{Src: t.id, Tag: tag, Bytes: bytes}
 	t.th.M.K.At(arrive, func() { target.mbox.Put(msg) })
-	t.Sent++
-	t.BytesSent += int64(bytes)
 }
 
-// Recv blocks until a message arrives, then pays the receive-side cost
-// (unpack copy from the shared buffer; cross-page penalties symmetric
-// with the sender's).
-func (t *Task) Recv() *Message { return t.RecvFrom(-1, -1) }
-
-// RecvFrom is the selective receive (pvm_recv): it blocks for the
-// oldest message matching the source task and tag, with −1 as a
-// wildcard for either. Non-matching messages are held for later
-// receives in arrival order.
-func (t *Task) RecvFrom(src, tag int) *Message {
-	match := func(m *Message) bool {
-		return (src < 0 || m.Src == src) && (tag < 0 || m.Tag == tag)
-	}
-	var msg *Message
-	for i, m := range t.stash {
-		if match(m) {
-			msg = m
-			t.stash = append(t.stash[:i], t.stash[i+1:]...)
-			break
-		}
-	}
-	for msg == nil {
-		m := t.mbox.Get(t.th.P).(*Message)
-		if match(m) {
-			msg = m
-		} else {
-			t.stash = append(t.stash, m)
-		}
-	}
+// Recv blocks until the next message arrives, then pays the
+// receive-side cost (unpack copy from the shared buffer; cross-page
+// penalties symmetric with the sender's).
+func (t *Task) Recv() *Message {
+	msg := t.mbox.Get(t.th.P).(*Message)
 	p := t.th.M.P
 	cost := p.PVMRecvFixed + int64(float64(msg.Bytes)*p.PVMCopyPerByte)
 	if np := pages(msg.Bytes); np > 2 {
 		cost += int64(np-2) * p.PVMPagePenalty
 	}
 	t.th.ComputeCycles(cost)
-	t.Received++
 	return msg
 }

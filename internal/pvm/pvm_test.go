@@ -24,7 +24,7 @@ func roundTrip(t *testing.T, a, b topology.CPUID, bytes int) sim.Cycles {
 		t0 = sys.AddTask(th)
 		ready.Wait(th.P)
 		start := th.Now()
-		t0.Send(t1.ID(), 1, bytes, nil)
+		t0.Send(t1.ID(), 1, bytes)
 		t0.Recv()
 		rt = th.Now() - start
 	})
@@ -32,7 +32,7 @@ func roundTrip(t *testing.T, a, b topology.CPUID, bytes int) sim.Cycles {
 		t1 = sys.AddTask(th)
 		ready.Set()
 		msg := t1.Recv()
-		t1.Send(msg.Src, 2, bytes, nil)
+		t1.Send(msg.Src, 2, bytes)
 	})
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func TestMessageOrderPreserved(t *testing.T) {
 		sender = sys.AddTask(th)
 		ready.Wait(th.P)
 		for i := 0; i < 5; i++ {
-			sender.Send(receiver.ID(), i, 64, nil)
+			sender.Send(receiver.ID(), i, 64)
 		}
 	})
 	if err := m.Run(); err != nil {
@@ -106,31 +106,6 @@ func TestMessageOrderPreserved(t *testing.T) {
 		if tag != i {
 			t.Fatalf("messages reordered: %v", got)
 		}
-	}
-}
-
-func TestPayloadCarried(t *testing.T) {
-	m, _ := machine.New(machine.Config{Hypernodes: 1})
-	sys := NewSystem(m)
-	data := []float64{1, 2, 3}
-	var out []float64
-	ready := m.K.NewEvent("ready")
-	var rx *Task
-	m.Spawn("rx", topology.MakeCPU(0, 1, 0), func(th *machine.Thread) {
-		rx = sys.AddTask(th)
-		ready.Set()
-		out = rx.Recv().Payload.([]float64)
-	})
-	m.Spawn("tx", topology.MakeCPU(0, 0, 0), func(th *machine.Thread) {
-		tx := sys.AddTask(th)
-		ready.Wait(th.P)
-		tx.Send(rx.ID(), 0, len(data)*8, data)
-	})
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 3 || out[2] != 3 {
-		t.Fatalf("payload lost: %v", out)
 	}
 }
 
@@ -145,37 +120,12 @@ func TestSendToUnknownTaskPanics(t *testing.T) {
 				panicked = true
 			}
 		}()
-		tx.Send(99, 0, 64, nil)
+		tx.Send(99, 0, 64)
 	})
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if !panicked {
 		t.Fatal("expected panic")
-	}
-}
-
-func TestStats(t *testing.T) {
-	m, _ := machine.New(machine.Config{Hypernodes: 1})
-	sys := NewSystem(m)
-	ready := m.K.NewEvent("ready")
-	var rx, tx *Task
-	m.Spawn("rx", topology.MakeCPU(0, 1, 0), func(th *machine.Thread) {
-		rx = sys.AddTask(th)
-		ready.Set()
-		rx.Recv()
-		rx.Recv()
-	})
-	m.Spawn("tx", topology.MakeCPU(0, 0, 0), func(th *machine.Thread) {
-		tx = sys.AddTask(th)
-		ready.Wait(th.P)
-		tx.Send(rx.ID(), 0, 100, nil)
-		tx.Send(rx.ID(), 1, 200, nil)
-	})
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if tx.Sent != 2 || tx.BytesSent != 300 || rx.Received != 2 {
-		t.Fatalf("stats: sent=%d bytes=%d recv=%d", tx.Sent, tx.BytesSent, rx.Received)
 	}
 }
