@@ -22,9 +22,8 @@ verify:
 # Fail when gofmt would rewrite a tracked Go file, the nested perfbench
 # module included. Lint fixtures under testdata/ are skipped: they are
 # hand-aligned around their want comments.
-GOFMT ?= gofmt
 fmtcheck:
-	@files=$$(git ls-files '*.go' | grep -v '/testdata/' | xargs $(GOFMT) -l); \
+	@files=$$(git ls-files '*.go' | grep -v '/testdata/' | xargs gofmt -l) || exit 1; \
 	if [ -n "$$files" ]; then echo "not gofmt-clean:"; echo "$$files"; exit 1; fi
 
 # Fail on undocumented exported symbols of the core packages

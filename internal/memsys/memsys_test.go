@@ -314,7 +314,7 @@ func TestCoherenceInvariantsUnderLoad(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -347,7 +347,7 @@ func TestWriteExclusivityAcrossMachine(t *testing.T) {
 		}
 		return s.caches[writer].Dirty(key)
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
 	}
 }
