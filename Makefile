@@ -61,11 +61,12 @@ race:
 	$(GO) test -race ./...
 
 # One testing.B benchmark per paper table/figure, plus the kernel-level
-# microbenchmarks in internal/sim and the 2M-body host stages of Fig. 8
-# in internal/apps/nbody. The parsed ns/op + allocs/op land in
+# microbenchmarks in internal/sim, the barrier episodes of both engines
+# in internal/threads and internal/parsim, and the 2M-body host stages
+# of Fig. 8 in internal/apps/nbody. The parsed ns/op + allocs/op land in
 # $(BENCH_JSON) so the perf trajectory is tracked across PRs.
 bench:
-	$(GO) test -bench=. -benchmem -run=NONE . ./internal/sim ./internal/counters ./internal/memsys ./internal/machine ./internal/apps/nbody | tee bench.txt
+	$(GO) test -bench=. -benchmem -run=NONE . ./internal/sim ./internal/counters ./internal/memsys ./internal/machine ./internal/threads ./internal/parsim ./internal/apps/nbody | tee bench.txt
 	$(GO) run ./cmd/benchjson < bench.txt > $(BENCH_JSON)
 	@echo "wrote $(BENCH_JSON)"
 

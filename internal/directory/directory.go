@@ -33,6 +33,9 @@ type Directory struct {
 	hypernode int
 	entries   map[topology.LineKey]entry
 	ctr       hooks
+	// victims backs the CPU lists RecordWrite and PurgeLine return, so
+	// neither allocates; a list is valid until the next call of either.
+	victims [topology.CPUsPerNode]topology.CPUID
 }
 
 // AttachCounters mirrors this directory's actions into the group:
@@ -63,15 +66,11 @@ func (d *Directory) localIndex(cpu topology.CPUID) int {
 	return cpu.FU()*topology.CPUsPerFU + cpu.Local()
 }
 
-// Sharers reports the local CPUs currently holding the line.
-func (d *Directory) Sharers(key topology.LineKey) []topology.CPUID {
-	e, ok := d.entries[key]
-	if !ok {
-		return nil
-	}
-	var out []topology.CPUID
+// appendCPUs appends the local CPUs whose bits are set in presence to
+// out, in CPU order.
+func (d *Directory) appendCPUs(out []topology.CPUID, presence uint8) []topology.CPUID {
 	for i := 0; i < topology.CPUsPerNode; i++ {
-		if e.presence&(1<<i) != 0 {
+		if presence&(1<<i) != 0 {
 			out = append(out, topology.MakeCPU(d.hypernode, i/topology.CPUsPerFU, i%topology.CPUsPerFU))
 		}
 	}
@@ -122,6 +121,7 @@ func (d *Directory) RecordRead(key topology.LineKey, cpu topology.CPUID) ReadAct
 // WriteActions describes what a write (ownership acquisition) requires.
 type WriteActions struct {
 	// InvalidateLocal are the other local CPUs whose copies must die.
+	// It is valid until the directory's next RecordWrite or PurgeLine.
 	InvalidateLocal []topology.CPUID
 	// PreviousOwner, if valid, must first write the dirty line back.
 	PreviousOwner    topology.CPUID
@@ -144,15 +144,7 @@ func (d *Directory) RecordWrite(key topology.LineKey, cpu topology.CPUID) WriteA
 		acts.HasPreviousOwner = true
 		d.ctr.interventions.Inc()
 	}
-	for i := 0; i < topology.CPUsPerNode; i++ {
-		if i == idx {
-			continue
-		}
-		if e.presence&(1<<i) != 0 {
-			acts.InvalidateLocal = append(acts.InvalidateLocal,
-				topology.MakeCPU(d.hypernode, i/topology.CPUsPerFU, i%topology.CPUsPerFU))
-		}
-	}
+	acts.InvalidateLocal = d.appendCPUs(d.victims[:0], e.presence&^(1<<idx))
 	if n := len(acts.InvalidateLocal); n > 0 {
 		d.ctr.invalidations.Add(int64(n))
 		d.ctr.invalFanout.Observe(int64(n))
@@ -182,9 +174,10 @@ func (d *Directory) DropCPU(key topology.LineKey, cpu topology.CPUID) {
 }
 
 // PurgeLine removes the line entirely (an SCI invalidation arrived) and
-// returns the local CPUs whose caches must be invalidated.
+// returns the local CPUs whose caches must be invalidated. The list is
+// valid until the directory's next RecordWrite or PurgeLine.
 func (d *Directory) PurgeLine(key topology.LineKey) []topology.CPUID {
-	sharers := d.Sharers(key)
+	sharers := d.appendCPUs(d.victims[:0], d.entries[key].presence)
 	d.ctr.purges.Inc()
 	if n := len(sharers); n > 0 {
 		d.ctr.invalidations.Add(int64(n))

@@ -10,6 +10,11 @@ import (
 
 var lineA = topology.LineKey{Space: 1, Line: 100}
 
+// Sharers reports the local CPUs currently holding the line.
+func (d *Directory) Sharers(key topology.LineKey) []topology.CPUID {
+	return d.appendCPUs(nil, d.entries[key].presence)
+}
+
 func TestReadAddsSharer(t *testing.T) {
 	d := New(0)
 	cpu := topology.MakeCPU(0, 1, 0)

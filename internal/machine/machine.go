@@ -112,6 +112,14 @@ type Thread struct {
 	Busy     sim.Cycles
 	MemStall sim.Cycles
 	SyncWait sim.Cycles
+
+	// spin is the semaphore the thread parks on while spinning in a
+	// barrier, and spinV its V method value; both are made on first
+	// use (see Spin).
+	spin  *sim.Semaphore
+	spinV func()
+	// inv backs the Invalidated list of the report Write returns.
+	inv []memsys.Invalidation
 }
 
 // Spawn starts fn as a simulated thread on the given CPU.
@@ -155,8 +163,11 @@ func (th *Thread) Read(sp topology.Space, addr topology.Addr) memsys.Report {
 }
 
 // Write plays a store, blocking for the full ownership acquisition.
+// The report's Invalidated list is the thread's own buffer: it stays
+// valid until the thread's next Write, which reuses it.
 func (th *Thread) Write(sp topology.Space, addr topology.Addr) memsys.Report {
-	rep := th.M.Mem.Access(th.P.Now(), th.CPU, sp, addr, true)
+	rep := th.M.Mem.AccessInto(th.P.Now(), th.CPU, sp, addr, true, th.inv)
+	th.inv = rep.Invalidated
 	th.MemStall += rep.Done - th.P.Now()
 	th.M.Trace.Record(th.P.Name(), trace.Mem, th.P.Now(), rep.Done)
 	th.P.Delay(rep.Done - th.P.Now())
@@ -197,6 +208,21 @@ func (th *Thread) Synchronize(wait func()) sim.Cycles {
 	w := (th.Now() - t0) - (th.Busy - busy0) - (th.MemStall - mem0)
 	th.SyncWait += w
 	return w
+}
+
+// Spin returns the thread's spin semaphore and its release func (the
+// semaphore's V), made on the first call and the same on every later
+// one. Barriers park a waiting thread on it and schedule release to
+// free it, so a barrier episode allocates neither. Sharing one
+// semaphore across barriers is safe because a thread parks in at most
+// one barrier at a time, and each wait consumes exactly the one
+// release it is sent.
+func (th *Thread) Spin() (sem *sim.Semaphore, release func()) {
+	if th.spin == nil {
+		th.spin = th.M.K.NewSemaphore("spin", 0)
+		th.spinV = th.spin.V
+	}
+	return th.spin, th.spinV
 }
 
 // String identifies the thread.

@@ -198,10 +198,18 @@ func (s *System) Home(sp topology.Space, addr topology.Addr, cpu topology.CPUID)
 // at addr in space sp by cpu, starting at now. All coherence state is
 // updated; the report carries the completion time.
 func (s *System) Access(now sim.Cycles, cpu topology.CPUID, sp topology.Space, addr topology.Addr, write bool) Report {
+	return s.AccessInto(now, cpu, sp, addr, write, nil)
+}
+
+// AccessInto is Access with the report's Invalidated list built in
+// inv[:0], so a caller that passes back its previous report's list
+// plays repeated writes without allocating.
+func (s *System) AccessInto(now sim.Cycles, cpu topology.CPUID, sp topology.Space, addr topology.Addr, write bool, inv []Invalidation) Report {
 	if int(sp) >= len(s.spaces) {
 		panic(fmt.Sprintf("memsys: access to unallocated space %d", sp))
 	}
 	key := topology.LineKey{Space: sp, Line: addr.Line()}
+	inv = inv[:0]
 	s.stats.Accesses++
 	s.ctr.accesses.Inc()
 	t0 := now
@@ -217,10 +225,10 @@ func (s *System) Access(now sim.Cycles, cpu topology.CPUID, sp topology.Space, a
 		s.ctr.hits.Inc()
 		if !write || c.Dirty(key) {
 			c.Access(key, write)
-			return Report{Done: now + sim.Cycles(s.P.CacheHit)}
+			return Report{Done: now + sim.Cycles(s.P.CacheHit), Invalidated: inv}
 		}
 		// Write to a shared (clean) cached line: upgrade.
-		rep := s.acquireOwnership(now+sim.Cycles(s.P.CacheHit), cpu, key, home)
+		rep := s.acquireOwnership(now+sim.Cycles(s.P.CacheHit), cpu, key, home, inv)
 		c.Access(key, true)
 		s.stats.StallCycles += int64(rep.Done - now)
 		s.ctr.upgrades.Inc()
@@ -244,15 +252,15 @@ func (s *System) Access(now sim.Cycles, cpu topology.CPUID, sp topology.Space, a
 	var misses, cycles *counters.Counter
 	switch {
 	case home.Hypernode != myHN && (s.DisableGlobalBuffer || !s.SCI.InBuffer(myHN, key)):
-		rep = s.globalFill(now, cpu, key, home, write)
+		rep = s.globalFill(now, cpu, key, home, write, inv)
 		s.stats.GlobalMisses++
 		misses, cycles = s.ctr.globalMisses, s.ctr.globalMissCycles
 	case home.FU == cpu.FU():
-		rep = s.nodeFill(now, cpu, key, home, write)
+		rep = s.nodeFill(now, cpu, key, home, write, inv)
 		s.stats.LocalMisses++
 		misses, cycles = s.ctr.localMisses, s.ctr.localMissCycles
 	default:
-		rep = s.nodeFill(now, cpu, key, home, write)
+		rep = s.nodeFill(now, cpu, key, home, write, inv)
 		s.stats.HypernodeMisses++
 		misses, cycles = s.ctr.hypernodeMisses, s.ctr.hypernodeMissCycles
 	}
@@ -267,9 +275,9 @@ func (s *System) Access(now sim.Cycles, cpu topology.CPUID, sp topology.Space, a
 // acquireOwnership upgrades a clean cached line to exclusive dirty:
 // invalidate the other local copies through the directory and purge any
 // remote hypernodes on the SCI list.
-func (s *System) acquireOwnership(now sim.Cycles, cpu topology.CPUID, key topology.LineKey, home topology.Placement) Report {
+func (s *System) acquireOwnership(now sim.Cycles, cpu topology.CPUID, key topology.LineKey, home topology.Placement, inv []Invalidation) Report {
 	myHN := cpu.Hypernode()
-	rep := Report{}
+	rep := Report{Invalidated: inv}
 	// Unlike recordLocal, no writeback is charged for a dirty previous
 	// owner: every fill path kills the other local copies of a line it
 	// writes, so while this CPU holds a clean copy there is none.
@@ -337,9 +345,9 @@ func (s *System) killAll(t sim.Cycles, key topology.LineKey, victims []topology.
 // homed line in this hypernode's global cache buffer, which lives in
 // the FU attached to the home line's ring. A write first makes the copy
 // exclusive across the machine.
-func (s *System) nodeFill(now sim.Cycles, cpu topology.CPUID, key topology.LineKey, home topology.Placement, write bool) Report {
+func (s *System) nodeFill(now sim.Cycles, cpu topology.CPUID, key topology.LineKey, home topology.Placement, write bool, inv []Invalidation) Report {
 	myHN := cpu.Hypernode()
-	rep := Report{}
+	rep := Report{Invalidated: inv}
 	t := s.recordLocal(now+sim.Cycles(s.P.DirLookup), cpu, key, write, &rep)
 	if write && home.Hypernode == myHN {
 		// Remote hypernodes holding buffered copies must be purged.
@@ -370,9 +378,9 @@ func (s *System) nodeFill(now sim.Cycles, cpu topology.CPUID, key topology.LineK
 // globalFill serves a miss that must cross the rings: crossbar to the
 // ring FU, SCI transaction to the home, install in the buffer, attach to
 // the sharing list.
-func (s *System) globalFill(now sim.Cycles, cpu topology.CPUID, key topology.LineKey, home topology.Placement, write bool) Report {
+func (s *System) globalFill(now sim.Cycles, cpu topology.CPUID, key topology.LineKey, home topology.Placement, write bool, inv []Invalidation) Report {
 	myHN := cpu.Hypernode()
-	rep := Report{}
+	rep := Report{Invalidated: inv}
 	ringIdx := s.ring(home.FU) // FU i of every hypernode attaches to ring i
 
 	// Crossbar leg to the local FU on the right ring.

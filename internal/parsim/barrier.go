@@ -1,8 +1,9 @@
 package parsim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"spp1000/internal/machine"
 	"spp1000/internal/sim"
@@ -17,12 +18,12 @@ import (
 //
 // Each arriving thread pays the barrier-entry bookkeeping and an
 // uncached read-modify-write on its node's fragment of the distributed
-// arrival counter, then parks on a per-thread semaphore. The last local
-// arrival of each node reports to the combiner on hypernode 0, paying
-// the uplink: crossbar leg, SCI packet inject/eject, the request and
-// response ring hops, the remote directory lookup, and the semaphore
-// cell update (hypernode 0 reports in place for free — its RMW was the
-// combiner update). When every node has reported, the combiner releases
+// arrival counter, then parks on its thread's spin semaphore
+// (machine.Thread.Spin). The last local arrival of each node reports
+// to the combiner on hypernode 0, paying the uplink: crossbar leg, SCI
+// packet inject/eject, the request and response ring hops, the remote
+// directory lookup, and the semaphore cell update (hypernode 0 reports
+// in place for free — its RMW was the combiner update). When every node has reported, the combiner releases
 // the spinners hierarchically: the releasing update is supplied around
 // the rings once, every node's copy landing within that revolution (the
 // slowest downlink), so all nodes share one delivery base; each node's
@@ -55,13 +56,7 @@ type nodeBarrier struct {
 	sema    topology.Space // node-local fragment of the arrival counter
 	expect  int            // participants on this node
 	arrived int
-	waiters []*clusterWaiter
-}
-
-// clusterWaiter is one parked thread.
-type clusterWaiter struct {
-	th  *machine.Thread
-	sem *sim.Semaphore
+	waiters []*machine.Thread // parked, in arrival order; reused across episodes
 }
 
 // nodeArrival is one node's report to the combiner.
@@ -112,8 +107,7 @@ func (b *ClusterBarrier) wait(th *machine.Thread, ni int) {
 	th.ComputeCycles(p.BarrierEnter)
 	th.RMW(nb.sema, 0)
 	nb.arrived++
-	w := &clusterWaiter{th: th, sem: th.M.K.NewSemaphore("cspin", 0)}
-	nb.waiters = append(nb.waiters, w)
+	nb.waiters = append(nb.waiters, th)
 
 	if nb.arrived == nb.expect {
 		if ni == 0 {
@@ -127,7 +121,8 @@ func (b *ClusterBarrier) wait(th *machine.Thread, ni int) {
 			nb.node.Part.Post(0, th.Now()+sim.Cycles(up), func() { b.arrive(ni, count) })
 		}
 	}
-	w.sem.P(th.P)
+	sem, _ := th.Spin()
+	sem.P(th.P)
 }
 
 // arrive runs on node 0's kernel: record one node's arrival and, when
@@ -140,12 +135,8 @@ func (b *ClusterBarrier) arrive(ni, count int) {
 	}
 	p := b.c.p
 	arr := b.arrivals
-	b.arrivals = nil
-	sort.SliceStable(arr, func(i, j int) bool {
-		if arr[i].at != arr[j].at {
-			return arr[i].at < arr[j].at
-		}
-		return arr[i].node < arr[j].node
+	slices.SortStableFunc(arr, func(x, y nodeArrival) int {
+		return cmp.Or(cmp.Compare(x.at, y.at), cmp.Compare(x.node, y.node))
 	})
 
 	b.nodes[0].node.M.Counters.Group("threads").Counter("barrier_episodes").Inc()
@@ -177,14 +168,14 @@ func (b *ClusterBarrier) arrive(ni, count int) {
 		}
 		nb := b.nodes[a.node]
 		release := func() {
-			ws := nb.waiters
-			nb.waiters = nil
-			nb.arrived = 0
 			k := nb.node.M.K
-			for i, w := range ws {
-				w := w
-				k.At(rel[i], func() { w.sem.V() })
+			for i, w := range nb.waiters {
+				_, v := w.Spin()
+				k.At(rel[i], v)
 			}
+			clear(nb.waiters)
+			nb.waiters = nb.waiters[:0]
+			nb.arrived = 0
 		}
 		if a.node == 0 {
 			release()
@@ -196,4 +187,5 @@ func (b *ClusterBarrier) arrive(ni, count int) {
 			b.nodes[0].node.Part.Post(a.node, base, release)
 		}
 	}
+	b.arrivals = arr[:0]
 }

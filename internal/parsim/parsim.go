@@ -48,8 +48,9 @@
 package parsim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"spp1000/internal/sim"
@@ -357,14 +358,8 @@ func (c *Coordinator) deliver() error {
 		p.outbox = p.outbox[:0]
 	}
 	c.msgs = msgs
-	sort.SliceStable(msgs, func(i, j int) bool {
-		if msgs[i].At != msgs[j].At {
-			return msgs[i].At < msgs[j].At
-		}
-		if msgs[i].src != msgs[j].src {
-			return msgs[i].src < msgs[j].src
-		}
-		return msgs[i].seq < msgs[j].seq
+	slices.SortStableFunc(msgs, func(x, y Msg) int {
+		return cmp.Or(cmp.Compare(x.At, y.At), cmp.Compare(x.src, y.src), cmp.Compare(x.seq, y.seq))
 	})
 	for _, m := range msgs {
 		if m.Dst < 0 || m.Dst >= len(c.parts) {

@@ -45,6 +45,13 @@ type Protocol struct {
 	// hypernode hn's global cache buffer.
 	buffers []map[topology.LineKey]bool
 	ctr     hooks
+	// free holds lists of purged lines for Attach to reuse, sharer
+	// capacity included; victims backs the lists Purge and PurgeExcept
+	// return. Together they keep the attach/purge cycle of a line that
+	// is shared, written and shared again (a barrier's spin variable)
+	// free of allocation.
+	free    []*list
+	victims []int
 }
 
 // AttachCounters mirrors the protocol actions into the group: attaches,
@@ -92,7 +99,7 @@ func (p *Protocol) Attach(key topology.LineKey, home, hn int) int {
 	}
 	l, ok := p.lines[key]
 	if !ok {
-		l = &list{home: home}
+		l = p.newList(home)
 		p.lines[key] = l
 	}
 	for i, s := range l.sharers {
@@ -100,7 +107,9 @@ func (p *Protocol) Attach(key topology.LineKey, home, hn int) int {
 			return i
 		}
 	}
-	l.sharers = append([]int{hn}, l.sharers...)
+	l.sharers = append(l.sharers, 0)
+	copy(l.sharers[1:], l.sharers)
+	l.sharers[0] = hn
 	p.buffers[hn][key] = true
 	p.ctr.attaches.Inc()
 	return 0
@@ -121,7 +130,7 @@ func (p *Protocol) Detach(key topology.LineKey, hn int) bool {
 			delete(p.buffers[hn], key)
 			p.ctr.detaches.Inc()
 			if len(l.sharers) == 0 {
-				delete(p.lines, key)
+				p.deleteLine(key, l)
 			}
 			return true
 		}
@@ -133,17 +142,18 @@ func (p *Protocol) Detach(key topology.LineKey, hn int) bool {
 // sharing list from the head, invalidating one node at a time. It returns
 // the hypernodes visited, in walk order; the caller charges one list-visit
 // plus ring transit per entry and drops the victims' buffered copies.
+// The list is valid until the next Purge or PurgeExcept.
 func (p *Protocol) Purge(key topology.LineKey) []int {
 	l, ok := p.lines[key]
 	if !ok {
 		return nil
 	}
-	victims := make([]int, len(l.sharers))
-	copy(victims, l.sharers)
+	victims := append(p.victims[:0], l.sharers...)
+	p.victims = victims
 	for _, hn := range victims {
 		delete(p.buffers[hn], key)
 	}
-	delete(p.lines, key)
+	p.deleteLine(key, l)
 	p.ctr.purges.Inc()
 	p.ctr.purgedCopies.Add(int64(len(victims)))
 	p.ctr.purgeWalk.Observe(int64(len(victims)))
@@ -157,7 +167,7 @@ func (p *Protocol) PurgeExcept(key topology.LineKey, keep int) []int {
 	if !ok {
 		return nil
 	}
-	var victims []int
+	victims := p.victims[:0]
 	kept := false
 	for _, hn := range l.sharers {
 		if hn == keep {
@@ -167,15 +177,36 @@ func (p *Protocol) PurgeExcept(key topology.LineKey, keep int) []int {
 		victims = append(victims, hn)
 		delete(p.buffers[hn], key)
 	}
+	p.victims = victims
 	if kept {
-		l.sharers = []int{keep}
+		l.sharers = append(l.sharers[:0], keep)
 	} else {
-		delete(p.lines, key)
+		p.deleteLine(key, l)
 	}
 	p.ctr.purges.Inc()
 	p.ctr.purgedCopies.Add(int64(len(victims)))
 	p.ctr.purgeWalk.Observe(int64(len(victims)))
 	return victims
+}
+
+// newList returns an empty sharing list for a line homed at home,
+// reusing a purged line's list when one is free.
+func (p *Protocol) newList(home int) *list {
+	n := len(p.free)
+	if n == 0 {
+		return &list{home: home}
+	}
+	l := p.free[n-1]
+	p.free[n-1] = nil
+	p.free = p.free[:n-1]
+	l.home, l.sharers = home, l.sharers[:0]
+	return l
+}
+
+// deleteLine forgets key's sharing list l and keeps l for newList.
+func (p *Protocol) deleteLine(key topology.LineKey, l *list) {
+	delete(p.lines, key)
+	p.free = append(p.free, l)
 }
 
 func (p *Protocol) check(hn int) {

@@ -45,3 +45,48 @@ func TestKernelFastPathZeroAllocsPerEvent(t *testing.T) {
 		t.Fatalf("live = %d after drain, want 0", k.live)
 	}
 }
+
+// TestSyncWarmCyclesZeroAllocs pins the wait queues' reuse of their
+// backing arrays: a warm Semaphore P/V cycle and a warm Queue Put/Get
+// cycle allocate nothing. Waking or receiving from the front of a queue
+// shifts it down in place; reslicing from the front would drop the
+// capacity and make the next wait or Put allocate again.
+func TestSyncWarmCyclesZeroAllocs(t *testing.T) {
+	k := NewKernel()
+	sem := k.NewSemaphore("sem", 0)
+	q := k.NewQueue("queue")
+	item := new(int) // a pointer boxes into interface{} without allocating
+	done := false
+	k.Spawn("waiter", func(p *Proc) {
+		for !done {
+			sem.P(p)
+		}
+	})
+	k.Spawn("receiver", func(p *Proc) {
+		for q.Get(p) != nil {
+		}
+	})
+	step := func() {
+		if err := k.RunUntil(k.Now()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step() // both procs park
+
+	if allocs := testing.AllocsPerRun(100, func() { sem.V(); step() }); allocs != 0 {
+		t.Errorf("warm Semaphore P/V cycle allocates %.2f, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { q.Put(item); step() }); allocs != 0 {
+		t.Errorf("warm Queue Put/Get cycle allocates %.2f, want 0", allocs)
+	}
+
+	done = true
+	sem.V()
+	q.Put(nil)
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if k.live != 0 {
+		t.Fatalf("live = %d after drain, want 0", k.live)
+	}
+}

@@ -43,8 +43,10 @@ type event struct {
 	fn   func() // general callback, used when proc is nil
 }
 
-// eventHeap is a concrete-typed binary min-heap ordered by (at, seq).
-// It deliberately does not implement container/heap: the interface{}
+// eventHeap is a concrete-typed 4-ary min-heap ordered by (at, seq):
+// node i's children are 4i+1..4i+4, so the tree is half as deep as a
+// binary heap's and a push or pop walks half as many levels. It
+// deliberately does not implement container/heap: the interface{}
 // boxing there costs two heap allocations per event (one on Push, one
 // on Pop), which at hundreds of millions of simulated events dominates
 // the host profile. Pop order is a pure function of the (at, seq) keys
@@ -81,7 +83,7 @@ func (h *eventHeap) pop() event {
 
 func (h eventHeap) up(i int) {
 	for i > 0 {
-		parent := (i - 1) / 2
+		parent := (i - 1) / 4
 		if !h.less(i, parent) {
 			break
 		}
@@ -93,13 +95,15 @@ func (h eventHeap) up(i int) {
 func (h eventHeap) down(i int) {
 	n := len(h)
 	for {
-		left := 2*i + 1
-		if left >= n {
+		first := 4*i + 1
+		if first >= n {
 			return
 		}
-		least := left
-		if right := left + 1; right < n && h.less(right, left) {
-			least = right
+		least := first
+		for c := first + 1; c < first+4 && c < n; c++ {
+			if h.less(c, least) {
+				least = c
+			}
 		}
 		if !h.less(least, i) {
 			return

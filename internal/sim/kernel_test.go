@@ -346,6 +346,46 @@ func TestEventOrderProperty(t *testing.T) {
 	}
 }
 
+// TestHeapPopOrderMatchesSort drives the event heap directly with
+// pushes and pops interleaved at random and many equal timestamps, and
+// checks every pop against the minimum by (at, seq) of what is pending,
+// which is what a reference sort of the pending events puts first.
+// Sizes 0 to 300 cover every partial last group of a node's four
+// children, at every depth up to five levels.
+func TestHeapPopOrderMatchesSort(t *testing.T) {
+	r := rng.New(7)
+	for n := 0; n <= 300; n++ {
+		var h eventHeap
+		var pending []event
+		var seq int64
+		pushed := 0
+		for pushed < n || len(pending) > 0 {
+			if pushed < n && (len(pending) == 0 || r.Intn(3) > 0) {
+				seq++
+				e := event{at: Cycles(r.Intn(n/8 + 2)), seq: seq}
+				h.push(e)
+				pending = append(pending, e)
+				pushed++
+				continue
+			}
+			sort.Slice(pending, func(i, j int) bool {
+				if pending[i].at != pending[j].at {
+					return pending[i].at < pending[j].at
+				}
+				return pending[i].seq < pending[j].seq
+			})
+			got, want := h.pop(), pending[0]
+			pending = pending[1:]
+			if got.at != want.at || got.seq != want.seq {
+				t.Fatalf("size %d: popped (at %d, seq %d), want (at %d, seq %d)", n, got.at, got.seq, want.at, want.seq)
+			}
+			if len(h) != len(pending) {
+				t.Fatalf("size %d: heap holds %d events, want %d", n, len(h), len(pending))
+			}
+		}
+	}
+}
+
 // Property: N procs doing random-length delay chains always finish at the
 // sum of their own delays, independent of interleaving.
 func TestProcIsolationProperty(t *testing.T) {

@@ -22,7 +22,11 @@ func (q *waitq) wakeOne(k *Kernel, d Cycles) bool {
 		return false
 	}
 	p := q.waiters[0]
-	q.waiters = q.waiters[1:]
+	// Shift down rather than reslice from the front, so the backing
+	// array keeps its capacity and the next wait appends in place.
+	n := copy(q.waiters, q.waiters[1:])
+	q.waiters[n] = nil
+	q.waiters = q.waiters[:n]
 	p.unparkAt(k.now + d)
 	return true
 }
@@ -146,7 +150,9 @@ func (q *Queue) Get(p *Proc) interface{} {
 		q.q.wait(p)
 	}
 	v := q.items[0]
-	q.items = q.items[1:]
+	n := copy(q.items, q.items[1:])
+	q.items[n] = nil
+	q.items = q.items[:n]
 	// If more items remain, pass the wakeup along so same-instant
 	// receivers drain the queue deterministically.
 	if len(q.items) > 0 {

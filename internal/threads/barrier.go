@@ -1,7 +1,8 @@
 package threads
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"spp1000/internal/machine"
 	"spp1000/internal/sim"
@@ -21,33 +22,40 @@ import (
 // plus the serialized cost of re-supplying the line (SpinRefetch +
 // SpinReleaseSerial per released spinner), which is what the spin loop
 // would observe.
+//
+// Each waiter parks on its thread's spin semaphore (machine.Thread.Spin),
+// and the barrier reuses its waiter list and per-CPU invalidation table
+// from episode to episode, so a steady-state episode allocates nothing.
 type Barrier struct {
 	m       *machine.Machine
 	n       int
 	sema    topology.Space // uncached counting semaphore
 	flag    topology.Space // cached spin variable
 	arrived int
-	waiters []*waiter
+	waiters []*machine.Thread
+	// invAt[cpu] is the instant the releasing write invalidated cpu's
+	// copy of the flag, or -1 if it did not; all -1 between releases.
+	invAt []sim.Cycles
 	// Exit timestamps of the most recent episode, for the Fig. 3 metrics.
 	lastEnter sim.Cycles
 	exits     []sim.Cycles
-}
-
-type waiter struct {
-	th  *machine.Thread
-	sem *sim.Semaphore
 }
 
 // NewBarrier allocates a barrier for teams of n threads. The semaphore
 // and the spin variable live in near-shared memory hosted on hypernode
 // host.
 func NewBarrier(m *machine.Machine, n, host int) *Barrier {
-	return &Barrier{
-		m:    m,
-		n:    n,
-		sema: m.Alloc("barrier.sema", topology.NearShared, host, 0),
-		flag: m.Alloc("barrier.flag", topology.NearShared, host, 0),
+	b := &Barrier{
+		m:     m,
+		n:     n,
+		sema:  m.Alloc("barrier.sema", topology.NearShared, host, 0),
+		flag:  m.Alloc("barrier.flag", topology.NearShared, host, 0),
+		invAt: make([]sim.Cycles, m.Topo.NumCPUs()),
 	}
+	for i := range b.invAt {
+		b.invAt[i] = -1
+	}
+	return b
 }
 
 // Wait blocks the thread until all n team members have arrived.
@@ -74,12 +82,12 @@ func (b *Barrier) wait(th *machine.Thread) {
 	if b.arrived < b.n {
 		// Register before touching the flag: the releasing write may
 		// land while this thread's first spin read is still in flight.
-		w := &waiter{th: th, sem: th.M.K.NewSemaphore("spin", 0)}
-		b.waiters = append(b.waiters, w)
+		b.waiters = append(b.waiters, th)
 		// Cache the spin variable (first spin iteration), then park
 		// until the releasing write invalidates our copy.
 		th.Read(b.flag, 0)
-		w.sem.P(th.P)
+		sem, _ := th.Spin()
+		sem.P(th.P)
 		b.exits = append(b.exits, th.Now())
 		return
 	}
@@ -92,29 +100,32 @@ func (b *Barrier) wait(th *machine.Thread) {
 	// Release order follows invalidation order; each released spinner
 	// additionally pays the spin-detect plus the serialized line
 	// re-supply from the flag's home.
-	invAt := map[topology.CPUID]sim.Cycles{}
 	for _, inv := range rep.Invalidated {
-		invAt[inv.CPU] = inv.At
+		b.invAt[inv.CPU] = inv.At
 	}
-	ws := append([]*waiter(nil), b.waiters...)
-	sort.SliceStable(ws, func(i, j int) bool {
-		return invAt[ws[i].th.CPU] < invAt[ws[j].th.CPU]
-	})
+	// A waiter whose copy was not invalidated sorts as if killed at 0.
+	key := func(w *machine.Thread) sim.Cycles { return max(b.invAt[w.CPU], 0) }
+	ws := b.waiters
+	slices.SortStableFunc(ws, func(x, y *machine.Thread) int { return cmp.Compare(key(x), key(y)) })
 	g.Counter("barrier_episodes").Inc()
 	g.Histogram("barrier_release").Observe(int64(len(ws)))
 	supply := sim.Cycles(0)
 	for _, w := range ws {
-		at, ok := invAt[w.th.CPU]
-		if !ok {
+		at := b.invAt[w.CPU]
+		if at < 0 {
 			// The waiter's copy was already gone (conflict eviction):
 			// it refetches as soon as the write completes.
 			at = rep.Done
 		}
 		supply = SpinRelease(p, at, supply)
-		w := w
-		th.M.K.At(supply, func() { w.sem.V() })
+		_, release := w.Spin()
+		th.M.K.At(supply, release)
+	}
+	for _, inv := range rep.Invalidated {
+		b.invAt[inv.CPU] = -1
 	}
 
+	clear(ws)
 	b.waiters = b.waiters[:0]
 	b.arrived = 0
 	b.exits = append(b.exits, th.Now())
