@@ -164,11 +164,7 @@ servegw:
 
 examples:
 	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/pic3d
-	$(GO) run ./examples/nbody
-	$(GO) run ./examples/ppmshock
 	$(GO) run ./examples/profile
-	$(GO) run ./examples/directives
 	$(GO) run ./examples/amrblast
 
 clean:

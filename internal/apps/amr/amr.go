@@ -165,16 +165,6 @@ func clamp(v, lo, hi int) int {
 	return v
 }
 
-// LevelAt reports the refinement level of the leaf covering the
-// physical point (x, y) in root-zone units (periodic wrap).
-func (d *Domain) LevelAt(x, y float64) int {
-	W := float64(d.RootW * BlockSize)
-	H := float64(d.RootH * BlockSize)
-	x = math.Mod(math.Mod(x, W)+W, W)
-	y = math.Mod(math.Mod(y, H)+H, H)
-	return d.leafAt(x, y).level
-}
-
 // leafAt walks the quadtree to the leaf covering the point.
 func (d *Domain) leafAt(x, y float64) *block {
 	bi := int(x) / BlockSize

@@ -139,7 +139,7 @@ func TestDerefinementAfterSmoothing(t *testing.T) {
 
 func TestAMRMatchesSingleGridWhileUnrefined(t *testing.T) {
 	// Below the refinement threshold, an AMR domain of root blocks must
-	// evolve exactly like the equivalent plain tiled PPM grid.
+	// evolve exactly like the equivalent plain periodic PPM grid.
 	d, _ := New(2, 2)
 	g, err := ppm.NewGrid(2*BlockSize, 2*BlockSize)
 	if err != nil {
@@ -159,7 +159,7 @@ func TestAMRMatchesSingleGridWhileUnrefined(t *testing.T) {
 	pc := ppm.NewPencil(2*BlockSize + 2*ppm.Pad)
 	for s := 0; s < 5; s++ {
 		d.Step()
-		g.Step(ppm.Periodic, 0.4, pc)
+		g.Step(0.4, pc)
 	}
 	if lvl := d.MaxLevel(); lvl != 0 {
 		t.Fatalf("gentle wave refined to level %d", lvl)

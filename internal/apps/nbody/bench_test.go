@@ -8,23 +8,15 @@ import (
 // The host stages of CountWorkload at Fig. 8's largest problem size.
 const benchBodies = 2097152
 
-// BenchmarkNewPlummer samples the 2M-body particle set.
-func BenchmarkNewPlummer(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		NewPlummer(benchBodies, 1)
-	}
-}
-
-// BenchmarkPlummerPositions samples the 2M-body set without
-// velocities, as CountWorkload does.
+// BenchmarkPlummerPositions samples the 2M-body set, as CountWorkload
+// does.
 func BenchmarkPlummerPositions(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		plummerPositions(benchBodies, 1)
 	}
 }
 
-// BenchmarkSortMorton Morton-orders a fresh copy of the 2M-body
-// positions-only set.
+// BenchmarkSortMorton Morton-orders a fresh copy of the 2M-body set.
 func BenchmarkSortMorton(b *testing.B) {
 	src := plummerPositions(benchBodies, 1)
 	for i := 0; i < b.N; i++ {

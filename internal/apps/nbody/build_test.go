@@ -24,20 +24,19 @@ func sortSlicePermutation(b *Bodies) []int {
 	return perm
 }
 
-// sortMortonPermutation runs SortMorton on a copy of b whose VX holds
+// sortMortonPermutation runs SortMorton on a copy of b whose M holds
 // each body's original index, and reads the permutation back from it.
 func sortMortonPermutation(b *Bodies) []int {
 	c := &Bodies{
 		X: slices.Clone(b.X), Y: slices.Clone(b.Y), Z: slices.Clone(b.Z),
-		VX: make([]float64, b.N()), VY: slices.Clone(b.VY), VZ: slices.Clone(b.VZ),
-		M: slices.Clone(b.M),
+		M: make([]float64, b.N()),
 	}
-	for i := range c.VX {
-		c.VX[i] = float64(i)
+	for i := range c.M {
+		c.M[i] = float64(i)
 	}
 	SortMorton(c)
 	perm := make([]int, c.N())
-	for i, v := range c.VX {
+	for i, v := range c.M {
 		perm[i] = int(v)
 	}
 	return perm
@@ -46,16 +45,16 @@ func sortMortonPermutation(b *Bodies) []int {
 // SortMorton's permutation, ties included, equals the sort.Slice one:
 // the N-body outputs depend on the order of bodies with equal keys.
 func TestSortMortonTieOrderMatchesSortSlice(t *testing.T) {
-	plummer := NewPlummer(20000, 5)
+	plummer := plummerPositions(20000, 5)
 	// Coincident bodies: every body sits on one of 37 points, so long
 	// runs of equal keys reach pdqsort's equal-element partitioning.
-	coincident := NewPlummer(20000, 6)
+	coincident := plummerPositions(20000, 6)
 	for i := range coincident.X {
 		j := i * 7 % 37
 		coincident.X[i], coincident.Y[i], coincident.Z[i] = coincident.X[j], coincident.Y[j], coincident.Z[j]
 	}
 	// Half the bodies duplicated onto the other half.
-	mixed := NewPlummer(20000, 7)
+	mixed := plummerPositions(20000, 7)
 	for i := 0; i < mixed.N(); i += 2 {
 		j := (i*13)%mixed.N() | 1
 		mixed.X[i], mixed.Y[i], mixed.Z[i] = mixed.X[j], mixed.Y[j], mixed.Z[j]
@@ -81,7 +80,7 @@ func TestSortMortonTieOrderMatchesSortSlice(t *testing.T) {
 func TestBuildDoesNotRegrow(t *testing.T) {
 	for _, n := range []int{32768, 262144} {
 		for seed := uint64(1); seed <= 10; seed++ {
-			b := NewPlummer(n, seed)
+			b := plummerPositions(n, seed)
 			SortMorton(b)
 			tr, half := newTree(b)
 			if !tr.buildOctants(half) {
@@ -145,7 +144,7 @@ func sameTree(t *testing.T, a, b *Tree, na, nb int32) {
 // every cell, the cell count and every force are bit-identical.
 func TestBuildOctantsMatchesWhole(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
-		b := NewPlummer(32768, seed)
+		b := plummerPositions(32768, seed)
 		SortMorton(b)
 		matchWhole(t, fmt.Sprintf("seed %d", seed), b)
 	}
@@ -184,7 +183,7 @@ func matchWhole(t *testing.T, name string, b *Bodies) {
 // Coincident bodies in several root octants: inline leaves become leaf
 // nodes inside bounded regions, and the coincident leaves stay nodes.
 func TestBuildOctantsCoincident(t *testing.T) {
-	b := NewPlummer(8000, 8)
+	b := plummerPositions(8000, 8)
 	// Bodies on five points in different root octants: one in seven
 	// bodies, from body 100 on, is moved onto a point.
 	root, _ := newTree(b)
@@ -217,7 +216,7 @@ func TestBuildOctantsCoincident(t *testing.T) {
 // A root octant holding one body is an inline leaf of the root in the
 // region build, as in the one-region build.
 func TestBuildOctantsLoneBody(t *testing.T) {
-	b := NewPlummer(2000, 9)
+	b := plummerPositions(2000, 9)
 	for i := range b.N() {
 		b.X[i], b.Y[i], b.Z[i] = -math.Abs(b.X[i]), -math.Abs(b.Y[i]), -math.Abs(b.Z[i])
 	}
@@ -250,7 +249,7 @@ func TestBuildClusteredFallsBack(t *testing.T) {
 // separating each pair takes ~30 levels of single-child cells.
 func clustered() *Bodies {
 	const n = 2000
-	b := NewPlummer(n, 3)
+	b := plummerPositions(n, 3)
 	for i := 1; i < n; i += 2 {
 		b.X[i], b.Y[i], b.Z[i] = b.X[i-1]+1e-9, b.Y[i-1], b.Z[i-1]
 	}
@@ -279,7 +278,7 @@ func TestBuildClusteredExceedsEstimate(t *testing.T) {
 func TestRadixSortMatchesSortFunc(t *testing.T) {
 	t.Cleanup(func() { runner.SetWorkers(0) })
 	for _, n := range []int{20000, 262144} {
-		b := NewPlummer(n, 1)
+		b := plummerPositions(n, 1)
 		want := mortonKeys(b)
 		slices.SortFunc(want, func(p, q mortonRec) int { return cmp.Compare(p.key, q.key) })
 		for i := 1; i < n; i++ {
@@ -292,57 +291,6 @@ func TestRadixSortMatchesSortFunc(t *testing.T) {
 			recs := mortonKeys(b)
 			if got := radixSort(recs, make([]mortonRec, n)); !slices.Equal(got, want) {
 				t.Fatalf("n=%d workers=%d: radix order differs from slices.SortFunc's", n, w)
-			}
-		}
-	}
-}
-
-// NewPlummer draws serially and transforms on the pool; at any pool
-// width its arrays must be bitwise those of the all-serial loop it
-// replaced.
-func TestNewPlummerMatchesSerialLoop(t *testing.T) {
-	t.Cleanup(func() { runner.SetWorkers(0) })
-	const n = 200000 // several pool chunks
-	for _, seed := range []uint64{1, 2} {
-		r := rng.New(seed)
-		want := &Bodies{
-			X: make([]float64, n), Y: make([]float64, n), Z: make([]float64, n),
-			VX: make([]float64, n), VY: make([]float64, n), VZ: make([]float64, n),
-			M: make([]float64, n),
-		}
-		for i := 0; i < n; i++ {
-			u := r.Float64()
-			if u < 1e-10 {
-				u = 1e-10
-			}
-			rad := 1 / math.Sqrt(math.Pow(u, -2.0/3.0)-1)
-			if rad > 10 {
-				rad = 10
-			}
-			z := 2*r.Float64() - 1
-			phi := 2 * math.Pi * r.Float64()
-			s := math.Sqrt(1 - z*z)
-			want.X[i] = rad * s * math.Cos(phi)
-			want.Y[i] = rad * s * math.Sin(phi)
-			want.Z[i] = rad * z
-			want.VX[i] = r.NormFloat64() * 0.1
-			want.VY[i] = r.NormFloat64() * 0.1
-			want.VZ[i] = r.NormFloat64() * 0.1
-			want.M[i] = 1.0 / float64(n)
-		}
-		for _, w := range []int{1, 4} {
-			runner.SetWorkers(w)
-			got := NewPlummer(n, seed)
-			for k, pair := range [][2][]float64{
-				{got.X, want.X}, {got.Y, want.Y}, {got.Z, want.Z},
-				{got.VX, want.VX}, {got.VY, want.VY}, {got.VZ, want.VZ}, {got.M, want.M},
-			} {
-				for i := range pair[0] {
-					if math.Float64bits(pair[0][i]) != math.Float64bits(pair[1][i]) {
-						t.Fatalf("seed %d workers %d: array %d body %d is %v, serial loop %v",
-							seed, w, k, i, pair[0][i], pair[1][i])
-					}
-				}
 			}
 		}
 	}
@@ -375,7 +323,7 @@ func TestBuildOctantsFitsPaperScale(t *testing.T) {
 		t.Skip("builds three 2M-body trees")
 	}
 	for _, seed := range []uint64{1, 2, 42} {
-		b := NewPlummer(benchBodies, seed)
+		b := plummerPositions(benchBodies, seed)
 		SortMorton(b)
 		tr, half := newTree(b)
 		if !tr.buildOctants(half) {
@@ -527,9 +475,9 @@ func onCentres() *Bodies {
 // clustered, coincident and on-centre sets climb far, deep and to
 // exact box bounds.
 func TestInsertMatchesRootDescent(t *testing.T) {
-	sorted := NewPlummer(32768, 1)
+	sorted := plummerPositions(32768, 1)
 	SortMorton(sorted)
-	coincident := NewPlummer(2000, 4)
+	coincident := plummerPositions(2000, 4)
 	for i := 3; i < coincident.N(); i += 3 {
 		coincident.X[i], coincident.Y[i], coincident.Z[i] = coincident.X[0], coincident.Y[0], coincident.Z[0]
 	}
@@ -541,7 +489,7 @@ func TestInsertMatchesRootDescent(t *testing.T) {
 		name string
 		b    *Bodies
 	}{
-		{"morton", sorted}, {"unsorted", NewPlummer(20000, 2)}, {"clustered", clustered()},
+		{"morton", sorted}, {"unsorted", plummerPositions(20000, 2)}, {"clustered", clustered()},
 		{"coincident", coincident}, {"on-centres", centres},
 	} {
 		ref := refBuildWhole(set.b)
@@ -556,21 +504,6 @@ func TestInsertMatchesRootDescent(t *testing.T) {
 			t.Fatalf("%s: Build made %d cells, reference %d", set.name, tr.NumNodes(), ref.NumNodes())
 		}
 		sameTree(t, tr, ref, 0, 0)
-	}
-}
-
-// CountWorkload samples positions only; its workload must be the one
-// counted over the full NewPlummer bodies.
-func TestCountWorkloadPositionsOnly(t *testing.T) {
-	for _, n := range []int{32768, 262144} {
-		for seed := uint64(1); seed <= 3; seed++ {
-			got := CountWorkload(n, 96, seed)
-			want := countBodies(NewPlummer(n, seed), 96)
-			if got.N != want.N || got.TreeNodes != want.TreeNodes || got.Visited != want.Visited ||
-				!slices.Equal(got.MicroBlocks, want.MicroBlocks) {
-				t.Fatalf("n=%d seed=%d: positions only %+v, full bodies %+v", n, seed, got, want)
-			}
-		}
 	}
 }
 
@@ -606,9 +539,6 @@ func TestPlummerPositionsMatchesSerialLoop(t *testing.T) {
 		for _, w := range []int{1, 4} {
 			runner.SetWorkers(w)
 			got := plummerPositions(n, seed)
-			if got.VX != nil || got.VY != nil || got.VZ != nil {
-				t.Fatalf("seed %d workers %d: plummerPositions drew velocities", seed, w)
-			}
 			for k, pair := range [][2][]float64{
 				{got.X, want.X}, {got.Y, want.Y}, {got.Z, want.Z}, {got.M, want.M},
 			} {

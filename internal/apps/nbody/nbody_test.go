@@ -6,7 +6,7 @@ import (
 )
 
 func TestPlummerProperties(t *testing.T) {
-	b := NewPlummer(5000, 3)
+	b := plummerPositions(5000, 3)
 	if b.N() != 5000 {
 		t.Fatalf("N = %d", b.N())
 	}
@@ -39,7 +39,7 @@ func TestPlummerProperties(t *testing.T) {
 }
 
 func TestTreeCountsAndMass(t *testing.T) {
-	b := NewPlummer(2000, 5)
+	b := plummerPositions(2000, 5)
 	tr := Build(b)
 	root := tr.nodes[0]
 	if int(root.count) != b.N() {
@@ -63,7 +63,7 @@ func TestTreeCountsAndMass(t *testing.T) {
 // Tree structural invariant: every internal node's count and mass equal
 // the sum over children.
 func TestTreeInternalConsistency(t *testing.T) {
-	checkTreeConsistency(t, Build(NewPlummer(3000, 11)))
+	checkTreeConsistency(t, Build(plummerPositions(3000, 11)))
 }
 
 // checkTreeConsistency fails t unless every internal node's count and
@@ -98,14 +98,14 @@ func checkTreeConsistency(t *testing.T, tr *Tree) {
 }
 
 func TestForceMatchesDirectSum(t *testing.T) {
-	b := NewPlummer(2000, 7)
+	b := plummerPositions(2000, 7)
 	tr := Build(b)
 	// With a tight opening angle the tree force approaches direct
 	// summation (paper: "below a user supplied accuracy limit").
 	var maxRel float64
 	for i := 0; i < 50; i++ {
 		ax, ay, az, _ := tr.Force(i, 0.3, 0.05)
-		dx, dy, dz := DirectForce(b, i, 0.05)
+		dx, dy, dz := directForce(b, i, 0.05)
 		fm := math.Sqrt(dx*dx + dy*dy + dz*dz)
 		em := math.Sqrt((ax-dx)*(ax-dx) + (ay-dy)*(ay-dy) + (az-dz)*(az-dz))
 		if fm > 0 {
@@ -120,13 +120,34 @@ func TestForceMatchesDirectSum(t *testing.T) {
 	}
 }
 
+// directForce is the O(N²) reference summation for body i.
+func directForce(b *Bodies, i int, eps float64) (ax, ay, az float64) {
+	eps2 := eps * eps
+	xi, yi, zi := b.X[i], b.Y[i], b.Z[i]
+	for j := 0; j < b.N(); j++ {
+		if j == i {
+			continue
+		}
+		dx := b.X[j] - xi
+		dy := b.Y[j] - yi
+		dz := b.Z[j] - zi
+		r2 := dx*dx + dy*dy + dz*dz + eps2
+		inv := 1 / math.Sqrt(r2)
+		inv3 := inv * inv * inv * b.M[j]
+		ax += dx * inv3
+		ay += dy * inv3
+		az += dz * inv3
+	}
+	return ax, ay, az
+}
+
 func TestTighterThetaIsMoreAccurateAndCostlier(t *testing.T) {
-	b := NewPlummer(4000, 9)
+	b := plummerPositions(4000, 9)
 	tr := Build(b)
 	var errTight, errLoose float64
 	var workTight, workLoose int64
 	for i := 0; i < 30; i++ {
-		dx, dy, dz := DirectForce(b, i, 0.05)
+		dx, dy, dz := directForce(b, i, 0.05)
 		fm := math.Sqrt(dx*dx + dy*dy + dz*dz)
 		at, _, _, st := tr.Force(i, 0.3, 0.05)
 		al, _, _, sl := tr.Force(i, 1.0, 0.05)
@@ -146,7 +167,6 @@ func TestTighterThetaIsMoreAccurateAndCostlier(t *testing.T) {
 func TestCoincidentBodiesHandled(t *testing.T) {
 	b := &Bodies{
 		X: []float64{1, 1, 2}, Y: []float64{1, 1, 2}, Z: []float64{1, 1, 2},
-		VX: make([]float64, 3), VY: make([]float64, 3), VZ: make([]float64, 3),
 		M: []float64{0.3, 0.3, 0.4},
 	}
 	tr := Build(b) // must not recurse forever
@@ -156,7 +176,7 @@ func TestCoincidentBodiesHandled(t *testing.T) {
 }
 
 func TestSortMortonPreservesBodies(t *testing.T) {
-	b := NewPlummer(1000, 13)
+	b := plummerPositions(1000, 13)
 	var sumM, sumX float64
 	for i := 0; i < b.N(); i++ {
 		sumM += b.M[i]
@@ -183,33 +203,10 @@ func TestSortMortonPreservesBodies(t *testing.T) {
 		return d / float64(bb.N()-1)
 	}
 	sorted := dist(b)
-	shuffled := NewPlummer(1000, 13)
+	shuffled := plummerPositions(1000, 13)
 	unsorted := dist(shuffled)
 	if sorted >= unsorted {
 		t.Fatalf("Morton sort should improve locality: %v vs %v", sorted, unsorted)
-	}
-}
-
-func TestStepConservesMomentumApproximately(t *testing.T) {
-	b := NewPlummer(1500, 17)
-	var px0, py0, pz0 float64
-	for i := 0; i < b.N(); i++ {
-		px0 += b.M[i] * b.VX[i]
-		py0 += b.M[i] * b.VY[i]
-		pz0 += b.M[i] * b.VZ[i]
-	}
-	Step(b, 0.01, 0.5, 0.05)
-	var px, py, pz float64
-	for i := 0; i < b.N(); i++ {
-		px += b.M[i] * b.VX[i]
-		py += b.M[i] * b.VY[i]
-		pz += b.M[i] * b.VZ[i]
-	}
-	// Monopole approximation breaks exact symmetry; drift must stay small
-	// relative to the velocity scale (~0.1).
-	drift := math.Abs(px-px0) + math.Abs(py-py0) + math.Abs(pz-pz0)
-	if drift > 0.01 {
-		t.Fatalf("momentum drift = %v over one step", drift)
 	}
 }
 

@@ -23,12 +23,12 @@ func pinnedSets() map[string]*Bodies {
 	sets := map[string]*Bodies{"clustered": clustered()}
 	for _, n := range []int{2000, 32768} {
 		for seed := uint64(1); seed <= 3; seed++ {
-			b := NewPlummer(n, seed)
+			b := plummerPositions(n, seed)
 			SortMorton(b)
 			sets[fmt.Sprintf("plummer-%d-%d", n, seed)] = b
 		}
 	}
-	coincident := NewPlummer(2000, 4)
+	coincident := plummerPositions(2000, 4)
 	for i := 3; i < coincident.N(); i += 3 {
 		coincident.X[i], coincident.Y[i], coincident.Z[i] = coincident.X[0], coincident.Y[0], coincident.Z[0]
 	}

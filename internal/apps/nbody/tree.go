@@ -1,9 +1,9 @@
 // Package nbody implements the paper's gravitational N-body tree code
 // (§5.3): a Barnes–Hut octree with monopole (center-of-mass) expansions,
-// a user-supplied opening-angle accuracy criterion, Plummer-softened
-// forces, and a leapfrog integrator. The tree search is unstructured and
-// makes heavy use of indirect addressing in its innermost loop — exactly
-// the fine-grained global memory access pattern the paper studies.
+// a user-supplied opening-angle accuracy criterion, and Plummer-softened
+// forces. The tree search is unstructured and makes heavy use of
+// indirect addressing in its innermost loop — exactly the fine-grained
+// global memory access pattern the paper studies.
 package nbody
 
 import (
@@ -19,9 +19,8 @@ import (
 
 // Bodies is a structure-of-arrays particle set.
 type Bodies struct {
-	X, Y, Z    []float64
-	VX, VY, VZ []float64
-	M          []float64
+	X, Y, Z []float64
+	M       []float64
 }
 
 // N reports the particle count.
@@ -46,27 +45,18 @@ func eachChunk(n int, fn func(c, lo, hi int)) {
 	})
 }
 
-// NewPlummer samples n bodies from a Plummer sphere (the standard
-// astrophysical test distribution; centrally condensed, so per-particle
-// tree work varies spatially — the source of load imbalance).
-func NewPlummer(n int, seed uint64) *Bodies { return plummer(n, seed, true) }
-
-// plummerPositions samples the bodies NewPlummer(n, seed) does, with
-// bitwise the same positions and masses, but leaves VX, VY and VZ nil:
-// it advances the generator past each body's velocity draws without
-// transforming them (rng.SkipNormals).
-func plummerPositions(n int, seed uint64) *Bodies { return plummer(n, seed, false) }
-
-// plummer samples n bodies from a Plummer sphere, with velocities if
-// vel is set.
-func plummer(n int, seed uint64, vel bool) *Bodies {
+// plummerPositions samples the positions and masses of n bodies from a
+// Plummer sphere (the standard astrophysical test distribution;
+// centrally condensed, so per-particle tree work varies spatially — the
+// source of load imbalance). Each body's stream also holds three normal
+// velocity draws, which the force workload never reads: the generator
+// skips them without transforming (rng.SkipNormals), so the positions
+// stay those of the full phase-space sample.
+func plummerPositions(n int, seed uint64) *Bodies {
 	r := rng.New(seed)
 	b := &Bodies{
 		X: make([]float64, n), Y: make([]float64, n), Z: make([]float64, n),
 		M: make([]float64, n),
-	}
-	if vel {
-		b.VX, b.VY, b.VZ = make([]float64, n), make([]float64, n), make([]float64, n)
 	}
 	// The draws are one serial stream: pool task 0 makes them chunk by
 	// chunk, in body order. X, Y and Z hold each body's radius, polar
@@ -85,13 +75,7 @@ func plummer(n int, seed uint64, vel bool) *Bodies {
 					b.X[i] = r.Float64()
 					b.Y[i] = 2*r.Float64() - 1
 					b.Z[i] = 2 * math.Pi * r.Float64()
-					if vel {
-						b.VX[i] = r.NormFloat64() * 0.1
-						b.VY[i] = r.NormFloat64() * 0.1
-						b.VZ[i] = r.NormFloat64() * 0.1
-					} else {
-						r.SkipNormals(3)
-					}
+					r.SkipNormals(3)
 				}
 				drawn <- c
 			}
@@ -144,15 +128,13 @@ func SortMorton(b *Bodies) {
 			break
 		}
 	}
-	// One array per pool task; a positions-only set has no velocity
-	// arrays to gather. A task takes a scratch array from free
+	// One array per pool task. A task takes a scratch array from free
 	// and hands it back when done, so there is at most one per worker.
 	free := make(chan []float64, runner.Workers())
 	for range cap(free) {
 		free <- nil
 	}
-	arrays := slices.DeleteFunc([][]float64{b.X, b.Y, b.Z, b.VX, b.VY, b.VZ, b.M},
-		func(a []float64) bool { return a == nil })
+	arrays := [][]float64{b.X, b.Y, b.Z, b.M}
 	// The gather never fails, so neither does Each.
 	_ = runner.Each(len(arrays), func(k int) error {
 		a, scratch := arrays[k], <-free
@@ -756,51 +738,4 @@ func (t *Tree) Force(i int, theta, eps float64) (ax, ay, az float64, st ForceSta
 		}
 	}
 	return ax, ay, az, st
-}
-
-// DirectForce is the O(N²) reference summation for body i.
-func DirectForce(b *Bodies, i int, eps float64) (ax, ay, az float64) {
-	eps2 := eps * eps
-	xi, yi, zi := b.X[i], b.Y[i], b.Z[i]
-	for j := 0; j < b.N(); j++ {
-		if j == i {
-			continue
-		}
-		dx := b.X[j] - xi
-		dy := b.Y[j] - yi
-		dz := b.Z[j] - zi
-		r2 := dx*dx + dy*dy + dz*dz + eps2
-		inv := 1 / math.Sqrt(r2)
-		inv3 := inv * inv * inv * b.M[j]
-		ax += dx * inv3
-		ay += dy * inv3
-		az += dz * inv3
-	}
-	return ax, ay, az
-}
-
-// Step advances the bodies one leapfrog step with the given parameters,
-// returning aggregate force-evaluation statistics.
-func Step(b *Bodies, dt, theta, eps float64) ForceStats {
-	t := Build(b)
-	var total ForceStats
-	n := b.N()
-	ax := make([]float64, n)
-	ay := make([]float64, n)
-	az := make([]float64, n)
-	for i := 0; i < n; i++ {
-		var st ForceStats
-		ax[i], ay[i], az[i], st = t.Force(i, theta, eps)
-		total.Visited += st.Visited
-		total.Interactions += st.Interactions
-	}
-	for i := 0; i < n; i++ {
-		b.VX[i] += ax[i] * dt
-		b.VY[i] += ay[i] * dt
-		b.VZ[i] += az[i] * dt
-		b.X[i] += b.VX[i] * dt
-		b.Y[i] += b.VY[i] * dt
-		b.Z[i] += b.VZ[i] * dt
-	}
-	return total
 }

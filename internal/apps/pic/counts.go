@@ -1,14 +1,19 @@
 package pic
 
 import (
-	"spp1000/internal/fft"
+	"math"
+
 	"spp1000/internal/perfmodel"
 	"spp1000/internal/topology"
 )
 
-// Per-particle operation counts of the four PIC phases, matching the
-// loops in pic.go (floating ops counted as the PA-7100 would issue them;
-// integer index arithmetic, floors, and wraps charged as IntOps).
+// Operation counts of the four PIC phases of §5.1.1: per particle for
+// the cloud-in-cell deposit over its 8 neighbouring cells, the
+// trilinear gather of the three field components and the leapfrog push
+// with periodic wrap; per mesh cell for the field solve's k-space loop.
+// Floating-point adds and multiplies count one flop each, as the
+// PA-7100 issues them; floors, wraps and cell-index arithmetic are
+// charged as IntOps.
 const (
 	depositFlops  = 35 // weight products and scatter-adds
 	depositIntOps = 30 // floor/wrap and 8 cell-index computations
@@ -155,7 +160,7 @@ func (m Model) SolveChunk(serial bool) perfmodel.Chunk {
 		share = 1
 	}
 	// One forward + three inverse 3-D transforms plus the k-space loop.
-	fl := 4*fft.Flops3(nx, ny, nz) + cells*solveCellFlops
+	fl := 4*fftFlops3(nx, ny, nz) + cells*solveCellFlops
 	c := perfmodel.Chunk{
 		Flops:     fl / share,
 		IntOps:    fl / share / 4,
@@ -207,7 +212,22 @@ func (m Model) FlopsPerStep() int64 {
 	np := int64(m.Size.Particles())
 	cells := int64(m.Size.Cells())
 	fl := np*(depositFlops+gatherFlops+pushFlops) +
-		4*fft.Flops3(m.Size.NX, m.Size.NY, m.Size.NZ) + cells*solveCellFlops +
+		4*fftFlops3(m.Size.NX, m.Size.NY, m.Size.NZ) + cells*solveCellFlops +
 		cells // reduction adds
 	return fl
+}
+
+// fftFlops estimates the floating-point operations of one n-point
+// complex FFT (the standard 5 n log2 n count).
+func fftFlops(n int) int64 {
+	if n <= 1 {
+		return 0
+	}
+	return int64(5 * float64(n) * math.Log2(float64(n)))
+}
+
+// fftFlops3 estimates the operations of one full 3-D transform: a 1-D
+// transform along every line of each axis.
+func fftFlops3(nx, ny, nz int) int64 {
+	return int64(ny*nz)*fftFlops(nx) + int64(nx*nz)*fftFlops(ny) + int64(nx*ny)*fftFlops(nz)
 }

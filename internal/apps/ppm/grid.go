@@ -5,16 +5,6 @@ import (
 	"math"
 )
 
-// BC selects the domain boundary condition.
-type BC int
-
-const (
-	// Periodic wraps the domain in both directions.
-	Periodic BC = iota
-	// Outflow copies the edge state outward (zero-gradient).
-	Outflow
-)
-
 // Grid is a 2-D patch of gas with Pad-deep ghost frames, stored as
 // primitive-variable arrays in row-major padded layout.
 type Grid struct {
@@ -59,20 +49,12 @@ func (g *Grid) At(i, j int) (rho, u, v, p float64) {
 	return g.Rho[at], g.U[at], g.V[at], g.P[at]
 }
 
-// FillGhosts applies the domain boundary condition to the ghost frame.
-func (g *Grid) FillGhosts(bc BC) {
+// fillGhosts fills the ghost frame from the opposite edge of the
+// interior: the domain is periodic in both directions.
+func (g *Grid) fillGhosts() {
 	s := g.Stride()
 	rows := g.H + 2*Pad
 	wrap := func(v, n int) int { return ((v-Pad)%n+n)%n + Pad }
-	clamp := func(v, n int) int {
-		if v < Pad {
-			return Pad
-		}
-		if v >= n+Pad {
-			return n + Pad - 1
-		}
-		return v
-	}
 	for j := 0; j < rows; j++ {
 		for i := 0; i < s; i++ {
 			inJ := j >= Pad && j < g.H+Pad
@@ -80,12 +62,7 @@ func (g *Grid) FillGhosts(bc BC) {
 			if inI && inJ {
 				continue
 			}
-			var si, sj int
-			if bc == Periodic {
-				si, sj = wrap(i, g.W), wrap(j, g.H)
-			} else {
-				si, sj = clamp(i, g.W), clamp(j, g.H)
-			}
+			si, sj := wrap(i, g.W), wrap(j, g.H)
 			dst := j*s + i
 			src := sj*s + si
 			g.Rho[dst] = g.Rho[src]
@@ -158,22 +135,17 @@ func (g *Grid) SweepY(dtdy float64, pc *Pencil) {
 	}
 }
 
-// Step advances the grid one split timestep with the given CFL number,
-// returning dt. Zone spacing is unity.
-func (g *Grid) Step(bc BC, cfl float64, pc *Pencil) float64 {
-	g.FillGhosts(bc)
+// Step advances the periodic grid one split timestep with the given
+// CFL number, returning dt. Zone spacing is unity.
+//
+//simlint:allow deadexport single-grid reference amr's TestAMRMatchesSingleGridWhileUnrefined compares block evolution against
+func (g *Grid) Step(cfl float64, pc *Pencil) float64 {
+	g.fillGhosts()
 	smax := g.MaxWavespeed()
 	dt := cfl / math.Max(smax, 1e-12)
 	g.SweepX(dt, pc)
 	g.SweepY(dt, pc)
 	return dt
-}
-
-// StepWithDt advances using an externally supplied dt (the tiled domain
-// computes one global dt for all tiles).
-func (g *Grid) StepWithDt(dt float64, pc *Pencil) {
-	g.SweepX(dt, pc)
-	g.SweepY(dt, pc)
 }
 
 // TotalMass sums ρ over the interior.

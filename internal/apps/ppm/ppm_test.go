@@ -80,7 +80,7 @@ func TestUniformFlowPreserved(t *testing.T) {
 	}
 	pc := NewPencil(g.Stride() + g.H + 2*Pad)
 	for s := 0; s < 5; s++ {
-		g.Step(Periodic, 0.4, pc)
+		g.Step(0.4, pc)
 	}
 	for j := 0; j < g.H; j++ {
 		for i := 0; i < g.W; i++ {
@@ -105,23 +105,28 @@ func TestMassConservedPeriodic(t *testing.T) {
 	m0 := g.TotalMass()
 	pc := NewPencil(48)
 	for s := 0; s < 20; s++ {
-		g.Step(Periodic, 0.4, pc)
+		g.Step(0.4, pc)
 	}
 	if rel := math.Abs(g.TotalMass()-m0) / m0; rel > 1e-10 {
 		t.Fatalf("mass drifted by %v", rel)
 	}
 }
 
-// sodProfile runs a Sod shock tube along x and returns the density.
+// sodProfile runs a Sod shock tube along x and returns the density of
+// zones [0, 128), the tube, with the interface at 64. The periodic grid
+// is 256 zones wide and holds the tube's mirror image in [128, 256), so
+// its wrap is uniform left state and the mirror interface at 192 is as
+// far from the tube's ends as the interface at 64: within the test's
+// steps no wave from either interface reaches the other half.
 func sodProfile(t *testing.T, steps int) (*Grid, []float64) {
 	t.Helper()
-	g, err := NewGrid(128, 8)
+	g, err := NewGrid(256, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for j := 0; j < g.H; j++ {
 		for i := 0; i < g.W; i++ {
-			if i < 64 {
+			if i < 64 || i >= 192 {
 				g.Set(i, j, 1.0, 0, 0, 1.0)
 			} else {
 				g.Set(i, j, 0.125, 0, 0, 0.1)
@@ -130,10 +135,10 @@ func sodProfile(t *testing.T, steps int) (*Grid, []float64) {
 	}
 	pc := NewPencil(g.Stride() + g.H + 2*Pad)
 	for s := 0; s < steps; s++ {
-		g.Step(Outflow, 0.4, pc)
+		g.Step(0.4, pc)
 	}
-	rho := make([]float64, g.W)
-	for i := 0; i < g.W; i++ {
+	rho := make([]float64, 128)
+	for i := range rho {
 		r, _, _, _ := g.At(i, 4)
 		rho[i] = r
 	}
@@ -178,7 +183,7 @@ func TestSodShockTube(t *testing.T) {
 	// Roughly monotone decreasing from left to right (first-order
 	// smearing; the start-up glitch at the initial discontinuity is
 	// allowed a few percent).
-	for i := 1; i < g.W; i++ {
+	for i := 1; i < len(rho); i++ {
 		if rho[i] > rho[i-1]+0.06 {
 			t.Fatalf("density oscillation at %d: %v -> %v", i, rho[i-1], rho[i])
 		}
@@ -203,7 +208,7 @@ func TestBlastSymmetry(t *testing.T) {
 	}
 	pc := NewPencil(n + 2*Pad)
 	for s := 0; s < 12; s++ {
-		g.Step(Periodic, 0.4, pc)
+		g.Step(0.4, pc)
 	}
 	for j := 0; j < n; j++ {
 		for i := 0; i < n/2; i++ {
@@ -222,47 +227,6 @@ func TestBlastSymmetry(t *testing.T) {
 				t.Fatalf("y-mirror broken at (%d,%d)", i, j)
 			}
 		}
-	}
-}
-
-func TestTiledMatchesGlobal(t *testing.T) {
-	// The tiled domain with ghost exchange must reproduce the global
-	// grid evolution — the correctness of the decomposition.
-	w, h := 48, 24
-	init := func(set func(i, j int, rho, u, v, p float64)) {
-		for j := 0; j < h; j++ {
-			for i := 0; i < w; i++ {
-				dx := float64(i-24) / 6
-				dy := float64(j-12) / 6
-				bump := math.Exp(-(dx*dx + dy*dy))
-				set(i, j, 1+0.4*bump, 0.1, -0.05, 1+bump)
-			}
-		}
-	}
-	g, _ := NewGrid(w, h)
-	init(g.Set)
-	d, err := NewTiled(w, h, 4, 3, Periodic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	init(d.Set)
-	pc := NewPencil(g.Stride() + g.H + 2*Pad)
-	for s := 0; s < 5; s++ {
-		g.Step(Periodic, 0.4, pc)
-		d.Step()
-	}
-	for j := 0; j < h; j++ {
-		for i := 0; i < w; i++ {
-			r1, u1, v1, p1 := g.At(i, j)
-			r2, u2, v2, p2 := d.At(i, j)
-			if math.Abs(r1-r2) > 1e-11 || math.Abs(u1-u2) > 1e-11 ||
-				math.Abs(v1-v2) > 1e-11 || math.Abs(p1-p2) > 1e-10 {
-				t.Fatalf("tiled diverged at (%d,%d): %v vs %v", i, j, r1, r2)
-			}
-		}
-	}
-	if d.ExchangedBytes == 0 {
-		t.Fatal("exchange accounting missing")
 	}
 }
 
@@ -295,7 +259,7 @@ func TestRandomSmoothStatesStayPhysical(t *testing.T) {
 		m0 := g.TotalMass()
 		pc := NewPencil(g.Stride() + g.H + 2*Pad)
 		for step := 0; step < 10; step++ {
-			g.Step(Periodic, 0.4, pc)
+			g.Step(0.4, pc)
 		}
 		for j := 0; j < g.H; j++ {
 			for i := 0; i < g.W; i++ {
@@ -312,15 +276,6 @@ func TestRandomSmoothStatesStayPhysical(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestTiledValidation(t *testing.T) {
-	if _, err := NewTiled(100, 100, 3, 1, Periodic); err == nil {
-		t.Fatal("non-dividing tiling should be rejected")
-	}
-	if _, err := NewTiled(12, 12, 6, 6, Periodic); err == nil {
-		t.Fatal("tiles smaller than the ghost frame should be rejected")
 	}
 }
 

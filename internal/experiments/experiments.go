@@ -15,7 +15,6 @@ import (
 	"spp1000/internal/apps/nbody"
 	"spp1000/internal/apps/pic"
 	"spp1000/internal/apps/ppm"
-	"spp1000/internal/directives"
 	"spp1000/internal/microbench"
 	"spp1000/internal/runner"
 	"spp1000/internal/stats"
@@ -361,7 +360,7 @@ func Classes(o Options) (string, error) {
 		return "", err
 	}
 	out := tb.Render()
-	shared, private, err := directives.FalseSharing(200)
+	shared, private, err := microbench.FalseSharing(200)
 	if err != nil {
 		return "", err
 	}

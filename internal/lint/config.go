@@ -64,11 +64,9 @@ var SimCorePackages = []string{
 	"internal/rng",
 	"internal/topology",
 	"internal/perfmodel",
-	"internal/fft",
 	"internal/morton",
 	"internal/c90",
 	"internal/cxpa",
-	"internal/directives",
 	"internal/stats",
 	"internal/counters",
 	"internal/experiments",

@@ -16,10 +16,12 @@ import (
 // methods declared under internal/ that no non-test file references: an
 // export only its own package's tests (or nothing at all) reach is a
 // mechanism with no production caller. References count from every
-// non-test file of the module — cmd/, examples/, the package itself —
-// and from the nested ReferenceModules (perfbench), so a benchmark's
-// calls are production calls. Uses inside the declaration itself
-// (recursion, and for a type its own methods) do not count.
+// non-test file of the module — cmd/, the package itself — and from the
+// nested ReferenceModules (perfbench), so a benchmark's calls are
+// production calls. examples/ is not a root: a demo shows how to call
+// the production path, so an export only a demo reaches is dead too.
+// Uses inside the declaration itself (recursion, and for a type its own
+// methods) do not count.
 //
 // Objects are keyed by package path, receiver type and name, so
 // references resolved in a separately loaded module match the
@@ -30,7 +32,7 @@ import (
 // finding is acceptable; a false one is not.
 var DeadExport = &Analyzer{
 	Name:      "deadexport",
-	Doc:       "flag exported internal/ identifiers that no non-test file of the module (or of perfbench) references",
+	Doc:       "flag exported internal/ identifiers that no non-test, non-example file of the module (or of perfbench) references",
 	RunModule: runDeadExport,
 }
 
@@ -62,8 +64,13 @@ func runDeadExport(mp *ModulePass) error {
 	}
 
 	// The reference universe: the analyzed packages, every other package
-	// of the module, and the nested reference modules.
-	universe := append([]*Package(nil), mp.Pkgs...)
+	// of the module, and the nested reference modules, minus examples/.
+	var universe []*Package
+	for _, pkg := range mp.Pkgs {
+		if !isExample(pkg.PkgPath) {
+			universe = append(universe, pkg)
+		}
+	}
 	missing, err := missingModulePkgs(root, mp.Pkgs)
 	if err != nil {
 		return err
@@ -138,8 +145,14 @@ func runDeadExport(mp *ModulePass) error {
 	return nil
 }
 
-// missingModulePkgs lists the module's packages under root that pkgs
-// does not already hold.
+// isExample reports whether the import path is under the module's
+// examples/ tree.
+func isExample(pkgPath string) bool {
+	return strings.HasPrefix(pkgPath, ModulePath+"/examples/")
+}
+
+// missingModulePkgs lists the module's packages under root, outside
+// examples/, that pkgs does not already hold.
 func missingModulePkgs(root string, pkgs []*Package) ([]string, error) {
 	cmd := exec.Command("go", "list", "-f", "{{.ImportPath}}", "./...")
 	cmd.Dir = root
@@ -155,7 +168,7 @@ func missingModulePkgs(root string, pkgs []*Package) ([]string, error) {
 	}
 	var missing []string
 	for _, path := range strings.Fields(out.String()) {
-		if !have[path] {
+		if !have[path] && !isExample(path) {
 			missing = append(missing, path)
 		}
 	}

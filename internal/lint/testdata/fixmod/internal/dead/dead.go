@@ -13,6 +13,10 @@ func UsedByCmd() int { return 2 }
 // UsedByBench is called from the nested perfbench module only.
 func UsedByBench() int { return 3 }
 
+// UsedByExample is called from examples/demo only, which is no
+// production reference.
+func UsedByExample() int { return 5 } // want `exported func internal/dead\.UsedByExample has no non-test reference`
+
 // usedInternally reaches Helper from a non-test file of this package.
 func usedInternally() int { return Helper() }
 

@@ -1,6 +1,7 @@
 // Package microbench contains the synthetic test codes of paper §4:
 // fork-join cost (Fig. 2), barrier synchronization cost (Fig. 3), and
-// PVM message round-trip time (Fig. 4). Each sweep runs the primitive on
+// PVM message round-trip time (Fig. 4), plus the §3.2 probes of the
+// memory classes and of false sharing. Each sweep runs the primitive on
 // a freshly built simulated machine and returns the series the paper
 // plots.
 package microbench
@@ -327,6 +328,38 @@ func ClassLadder() (*stats.Table, error) {
 		tb.AddRow(c.name, cold0, cold1, warm)
 	}
 	return tb, nil
+}
+
+// FalseSharing measures the §3.2 effect: eight threads each accumulate
+// into a per-thread scalar `iters` times. In the "shared" variant the
+// scalars are adjacent words of a shared array — four per cache line —
+// so every update invalidates the line in three other caches; in the
+// "private" variant each scalar is thread private. The ratio is the
+// "cache thrashing" the directive eliminates.
+func FalseSharing(iters int) (shared, private sim.Cycles, err error) {
+	run := func(class topology.Class, spread int) (sim.Cycles, error) {
+		m, err := machine.New(machine.Config{Hypernodes: 1})
+		if err != nil {
+			return 0, err
+		}
+		sp := m.Alloc("accumulators", class, 0, 0)
+		return threads.RunTeam(m, 8, threads.HighLocality, func(th *machine.Thread, tid int) {
+			addr := topology.Addr(tid * spread)
+			for i := 0; i < iters; i++ {
+				th.Read(sp, addr)
+				th.ComputeCycles(4) // the accumulation arithmetic
+				th.Write(sp, addr)
+			}
+		})
+	}
+	// Shared: 8 doubles packed into two cache lines.
+	if shared, err = run(topology.NearShared, 8); err != nil {
+		return
+	}
+	// Thread private: each scalar in its own thread's memory (and, being
+	// a distinct space offset per thread, in its own line).
+	private, err = run(topology.ThreadPrivate, topology.CacheLineBytes)
+	return
 }
 
 // LatencyProbe reports the modeled access latencies (in cycles) of the

@@ -160,6 +160,20 @@ func TestClassLadder(t *testing.T) {
 	}
 }
 
+func TestFalseSharingPenalty(t *testing.T) {
+	shared, private, err := FalseSharing(200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ratio := float64(shared) / float64(private)
+	// §3.2: "marked performance gains just by making scalar variables
+	// thread private" — the shared variant ping-pongs the line.
+	if ratio < 3 {
+		t.Fatalf("false-sharing penalty = %.1fx, want marked (>3x); shared %v private %v",
+			ratio, shared, private)
+	}
+}
+
 func TestContentionFlatOnFourRings(t *testing.T) {
 	four, one, err := ContentionSweep(16384)
 	if err != nil {

@@ -1,6 +1,6 @@
 // Package rng provides a small deterministic pseudo-random generator
 // (splitmix64-seeded xoshiro256**) for workload construction: particle
-// loads, Maxwellian velocity distributions, mesh perturbations. It is
+// loads, normal variates, mesh perturbations. It is
 // independent of math/rand so that workloads are reproducible across Go
 // releases — simulated results must be a pure function of the seed.
 package rng
@@ -102,7 +102,3 @@ func (r *RNG) SkipNormals(k int) {
 		r.NormFloat64()
 	}
 }
-
-// Maxwellian returns a velocity component drawn from a Maxwellian of
-// thermal speed vth.
-func (r *RNG) Maxwellian(vth float64) float64 { return vth * r.NormFloat64() }

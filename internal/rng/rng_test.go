@@ -77,20 +77,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestMaxwellianScales(t *testing.T) {
-	r := New(3)
-	n := 100000
-	var sumsq float64
-	for i := 0; i < n; i++ {
-		v := r.Maxwellian(2.5)
-		sumsq += v * v
-	}
-	sigma := math.Sqrt(sumsq / float64(n))
-	if math.Abs(sigma-2.5) > 0.05 {
-		t.Fatalf("Maxwellian sigma = %v, want 2.5", sigma)
-	}
-}
-
 func TestIntnRangeProperty(t *testing.T) {
 	prop := func(seed uint64, raw uint16) bool {
 		n := int(raw)%100 + 1
@@ -118,7 +104,7 @@ func TestIntnPanicsOnZero(t *testing.T) {
 }
 
 // normalsHash hashes the bit patterns of the first n NormFloat64
-// values, then of the first n Maxwellian(1.5) values, of a fresh
+// values, then of the first n values scaled by 1.5, of a fresh
 // generator seeded with seed.
 func normalsHash(seed uint64, n int) string {
 	h := sha256.New()
@@ -133,13 +119,13 @@ func normalsHash(seed uint64, n int) string {
 	}
 	r = New(seed)
 	for range n {
-		put(r.Maxwellian(1.5))
+		put(1.5 * r.NormFloat64())
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
 // The normal stream is pinned: workloads drawn through NormFloat64
-// (PIC's Maxwellian loads, N-body velocities) must not move when the
+// (the N-body sampler's skipped velocity draws) must not move when the
 // generator's code does.
 func TestNormalStreamPinned(t *testing.T) {
 	for i, want := range []string{

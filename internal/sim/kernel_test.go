@@ -192,30 +192,6 @@ func TestSemaphoreCounting(t *testing.T) {
 	}
 }
 
-func TestMutexBlocksAndReleases(t *testing.T) {
-	k := NewKernel()
-	m := k.NewMutex("m")
-	var order []string
-	k.Spawn("first", func(p *Proc) {
-		m.Lock(p)
-		p.Delay(50)
-		order = append(order, "first")
-		m.Unlock()
-	})
-	k.Spawn("second", func(p *Proc) {
-		p.Delay(1)
-		m.Lock(p)
-		order = append(order, "second")
-		m.Unlock()
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 2 || order[0] != "first" || order[1] != "second" {
-		t.Fatalf("mutex ordering wrong: %v", order)
-	}
-}
-
 func TestEventBroadcast(t *testing.T) {
 	k := NewKernel()
 	ev := k.NewEvent("go")

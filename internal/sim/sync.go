@@ -67,35 +67,6 @@ func (s *Semaphore) V() {
 	s.q.wakeOne(s.k, 0)
 }
 
-// Mutex is a binary lock in virtual time.
-type Mutex struct {
-	k      *Kernel
-	held   bool
-	q      waitq
-	holder *Proc
-}
-
-// NewMutex returns an unlocked mutex.
-func (k *Kernel) NewMutex(name string) *Mutex {
-	return &Mutex{k: k}
-}
-
-// Lock acquires the mutex, parking while it is held by another Proc.
-func (m *Mutex) Lock(p *Proc) {
-	for m.held {
-		m.q.wait(p)
-	}
-	m.held = true
-	m.holder = p
-}
-
-// Unlock releases the mutex and wakes one waiter.
-func (m *Mutex) Unlock() {
-	m.held = false
-	m.holder = nil
-	m.q.wakeOne(m.k, 0)
-}
-
 // Event is a broadcast flag: Procs wait until it is set.
 // Once set it stays set until Reset.
 type Event struct {

@@ -207,34 +207,6 @@ func TestBarrierReusable(t *testing.T) {
 	}
 }
 
-func TestGateMutualExclusion(t *testing.T) {
-	m := twoNode(t)
-	g := NewGate(m, 0)
-	inside, maxInside, total := 0, 0, 0
-	_, err := RunTeam(m, 8, HighLocality, func(th *machine.Thread, tid int) {
-		for i := 0; i < 4; i++ {
-			g.Critical(th, func() {
-				inside++
-				if inside > maxInside {
-					maxInside = inside
-				}
-				th.ComputeCycles(200)
-				inside--
-				total++
-			})
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if maxInside != 1 {
-		t.Fatalf("gate admitted %d threads, want 1", maxInside)
-	}
-	if total != 32 {
-		t.Fatalf("critical sections run = %d, want 32", total)
-	}
-}
-
 func TestOSIntrusionOnSaturatedMachine(t *testing.T) {
 	elapsed := func(n int) sim.Cycles {
 		m := twoNode(t)
