@@ -21,6 +21,7 @@ import (
 	"spp1000/internal/apps/nbody"
 	"spp1000/internal/apps/pic"
 	"spp1000/internal/machine"
+	"spp1000/internal/microbench"
 	"spp1000/internal/pvm"
 	"spp1000/internal/runner"
 	"spp1000/internal/sim"
@@ -44,77 +45,63 @@ func CompareBarrier(n int) (BarrierComparison, error) {
 	out := BarrierComparison{N: n}
 
 	// Hardware: the §4.2 semaphore + cached-spin barrier.
-	{
-		m, err := machine.New(machine.Config{Hypernodes: 2})
-		if err != nil {
-			return out, err
-		}
-		b := threads.NewBarrier(m, n, 0)
-		_, err = threads.RunTeam(m, n, threads.HighLocality, func(th *machine.Thread, tid int) {
-			b.Wait(th)
-			th.Delay(sim.Cycles((n - 1 - tid) * 700))
-			b.Wait(th)
-		})
-		if err != nil {
-			return out, err
-		}
-		_, lilo := b.LastEpisode()
-		out.Hardware = lilo
+	_, lilo, err := microbench.BarrierCost(2, n, threads.HighLocality)
+	if err != nil {
+		return out, err
 	}
+	out.Hardware = lilo
 
 	// Software: every thread sends an arrival message to thread 0 and
 	// waits for the release message — the portable alternative on a
 	// machine without hardware synchronization support.
-	{
-		m, err := machine.New(machine.Config{Hypernodes: 2})
-		if err != nil {
-			return out, err
-		}
-		sys := pvm.NewSystem(m)
-		tasks := make([]*pvm.Task, n)
-		reg := m.K.NewSemaphore("reg", 0)
-		ready := m.K.NewEvent("ready")
-		var lastIn, lastOut sim.Cycles
-		softBarrier := func(th *machine.Thread, tid int) {
-			if th.Now() > lastIn {
-				lastIn = th.Now()
-			}
-			if tid == 0 {
-				for i := 1; i < n; i++ {
-					tasks[0].Recv()
-				}
-				for i := 1; i < n; i++ {
-					tasks[0].Send(i, 2, 16)
-				}
-			} else {
-				tasks[tid].Send(0, 1, 16)
-				tasks[tid].Recv()
-			}
-			if th.Now() > lastOut {
-				lastOut = th.Now()
-			}
-		}
-		_, err = threads.RunTeam(m, n, threads.HighLocality, func(th *machine.Thread, tid int) {
-			tasks[tid] = sys.AddTask(th)
-			reg.V()
-			if tid == 0 {
-				for i := 0; i < n; i++ {
-					reg.P(th.P)
-				}
-				ready.Set()
-			} else {
-				ready.Wait(th.P)
-			}
-			softBarrier(th, tid) // warm
-			th.Delay(sim.Cycles((n - 1 - tid) * 700))
-			lastIn, lastOut = 0, 0
-			softBarrier(th, tid) // measured
-		})
-		if err != nil {
-			return out, err
-		}
-		out.Software = lastOut - lastIn
+	m, err := machine.New(machine.Config{Hypernodes: 2})
+	if err != nil {
+		return out, err
 	}
+	sys := pvm.NewSystem(m)
+	tasks := make([]*pvm.Task, n)
+	reg := m.K.NewSemaphore("reg", 0)
+	ready := m.K.NewEvent("ready")
+	var lastIn, lastOut sim.Cycles
+	softBarrier := func(th *machine.Thread, tid int) {
+		if th.Now() > lastIn {
+			lastIn = th.Now()
+		}
+		if tid == 0 {
+			for i := 1; i < n; i++ {
+				tasks[0].Recv()
+			}
+			for i := 1; i < n; i++ {
+				tasks[0].Send(i, 2, 16)
+			}
+		} else {
+			tasks[tid].Send(0, 1, 16)
+			tasks[tid].Recv()
+		}
+		if th.Now() > lastOut {
+			lastOut = th.Now()
+		}
+	}
+	_, err = threads.RunTeam(m, n, threads.HighLocality, func(th *machine.Thread, tid int) {
+		tasks[tid] = sys.AddTask(th)
+		reg.V()
+		if tid == 0 {
+			for i := 0; i < n; i++ {
+				reg.P(th.P)
+			}
+			ready.Set()
+		} else {
+			ready.Wait(th.P)
+		}
+		softBarrier(th, tid) // warm
+		th.Delay(sim.Cycles((n - 1 - tid) * 700))
+		lastIn, lastOut = 0, 0
+		softBarrier(th, tid) // measured
+	})
+	if err != nil {
+		return out, err
+	}
+	out.Software = lastOut - lastIn
 	return out, nil
 }
 

@@ -29,7 +29,7 @@ func (r Result) String() string {
 }
 
 // zoneFlops reuses the PPM per-zone operation counts (both sweeps).
-const zoneFlops = 2 * 260
+const zoneFlops = 2 * ppm.SweepCellFlops
 
 // Run evolves the domain `steps` steps while timing it on the simulated
 // machine: each step, the leaf blocks (Morton-ordered by construction
@@ -50,21 +50,14 @@ func Run(d *Domain, procs, steps int) (Result, error) {
 	// or ring class).
 	blockChunk := func() int64 {
 		cells := int64((BlockSize + 2*ppm.Pad) * (BlockSize + 2))
-		ghost := int64((BlockSize+2*ppm.Pad)*(BlockSize+2*ppm.Pad) - BlockSize*BlockSize)
 		c := perfmodel.Chunk{
-			Flops:     cells * 260 * 2,
-			Divides:   cells * 6,
-			IntOps:    cells * 150,
-			CacheHits: cells * 90,
+			Flops:     cells * ppm.SweepCellFlops * 2,
+			Divides:   cells * ppm.SweepCellDivides,
+			IntOps:    cells * ppm.SweepCellIntOps,
+			CacheHits: cells * ppm.SweepCellHits,
 		}
 		c.LocalMisses = cells * 2
-		ghostLines := ghost * 4 * 8 / topology.CacheLineBytes
-		if hn > 1 {
-			c.GlobalMisses += ghostLines / 4
-			c.HypernodeMisses += ghostLines - ghostLines/4
-		} else {
-			c.HypernodeMisses += ghostLines
-		}
+		ppm.GhostExchange(BlockSize, BlockSize, hn, &c)
 		return perfmodel.Cycles(m.P, c)
 	}()
 	// Regrid cost per step charged serially: criterion scan per leaf.

@@ -1,11 +1,8 @@
 package nbody
 
 import (
-	"fmt"
-
 	"spp1000/internal/machine"
 	"spp1000/internal/perfmodel"
-	"spp1000/internal/threads"
 	"spp1000/internal/topology"
 )
 
@@ -21,50 +18,23 @@ import (
 // sphere no longer pin to one thread — at the price of one uncached RMW
 // per block, which serializes at the counter's home memory bank.
 func RunDynamic(w *Workload, procs, hypernodes, steps int) (Result, error) {
-	m, err := machine.New(machine.Config{Hypernodes: hypernodes})
-	if err != nil {
-		return Result{}, err
-	}
-	place := threads.HighLocality
-	if hypernodes > 1 {
-		place = threads.Uniform
-	}
-	counter := m.Alloc("worklist", topology.NearShared, 0, 0)
+	return run(w, procs, hypernodes, steps, func(m *machine.Machine) func(*machine.Thread, int) {
+		counter := m.Alloc("worklist", topology.NearShared, 0, 0)
+		// Per-microblock force cycles: pure traversal work. The
+		// ring-import share is charged once per thread per step, not
+		// per block.
+		blockCycles := make([]int64, blocks)
+		for b, inter := range w.MicroBlocks {
+			blockCycles[b] = perfmodel.Cycles(m.P, forceWork(w, inter))
+		}
+		importCycles := perfmodel.Cycles(m.P, importChunk(w, hypernodes, procs))
 
-	// Per-microblock force cycles: pure traversal work. The ring-import
-	// share is charged once per thread per step, not per block.
-	blockCycles := make([]int64, blocks)
-	for b, inter := range w.MicroBlocks {
-		blockCycles[b] = perfmodel.Cycles(m.P, forceWork(w, inter))
-	}
-	importCycles := perfmodel.Cycles(m.P, importChunk(w, hypernodes, procs))
-	depth := 0
-	for n := w.N; n > 1; n >>= 3 {
-		depth++
-	}
-	buildCycles := perfmodel.Cycles(m.P, perfmodel.Chunk{
-		Flops:       int64(w.N) * buildFlopsPerBody,
-		IntOps:      int64(w.N) * buildIntOpsPerBody,
-		CacheHits:   int64(w.N) * 6,
-		LocalMisses: int64(w.N) * int64(depth) / 2,
-	})
-	pushCycles := perfmodel.Cycles(m.P, perfmodel.Chunk{
-		Flops:       int64(w.N/procs) * pushFlopsPerBody,
-		CacheHits:   int64(w.N/procs) * 12,
-		LocalMisses: int64(w.N/procs) * 2,
-	})
-
-	// The shared work-list cursor, advanced in virtual time by the
-	// threads' RMWs. Reset each step by thread 0 between barriers.
-	next := 0
-	bar := threads.NewBarrier(m, procs, 0)
-	elapsed, err := threads.RunTeam(m, procs, place, func(th *machine.Thread, tid int) {
-		for s := 0; s < steps; s++ {
-			if tid == 0 {
-				th.ComputeCycles(buildCycles)
-				next = 0
-			}
-			bar.Wait(th)
+		// The shared work-list cursor, advanced in virtual time by the
+		// threads' RMWs. Every thread finds the list empty exactly once
+		// per step; the last to do so rewinds it for the next step. The
+		// cursor is plain Go state, so the rewind adds no event.
+		next, drained := 0, 0
+		return func(th *machine.Thread, tid int) {
 			th.ComputeCycles(importCycles)
 			for {
 				th.RMW(counter, 0) // fetch-and-add on the work cursor
@@ -75,35 +45,22 @@ func RunDynamic(w *Workload, procs, hypernodes, steps int) (Result, error) {
 				next++
 				th.ComputeCycles(blockCycles[b])
 			}
-			bar.Wait(th)
-			th.ComputeCycles(pushCycles)
-			bar.Wait(th)
+			if drained++; drained == procs {
+				next, drained = 0, 0
+			}
 		}
 	})
-	if err != nil {
-		return Result{}, err
-	}
-	sec := elapsed.Seconds()
-	fl := w.Flops() * int64(steps)
-	return Result{
-		N: w.N, Procs: procs, Hypernodes: hypernodes, Steps: steps,
-		Seconds: sec, Mflops: float64(fl) / sec / 1e6,
-	}, nil
 }
 
 // ImbalanceRatio reports max/mean of the static per-thread interaction
 // loads for a team size — the quantity dynamic scheduling removes.
 func (w *Workload) ImbalanceRatio(procs int) (float64, error) {
-	if blocks%procs != 0 {
-		return 0, fmt.Errorf("nbody: procs %d must divide %d", procs, blocks)
+	loads, err := w.staticLoads(procs)
+	if err != nil {
+		return 0, err
 	}
-	per := blocks / procs
 	var max, sum int64
-	for tid := 0; tid < procs; tid++ {
-		var load int64
-		for b := tid * per; b < (tid+1)*per; b++ {
-			load += w.MicroBlocks[b]
-		}
+	for _, load := range loads {
 		sum += load
 		if load > max {
 			max = load

@@ -148,50 +148,61 @@ func forceWork(w *Workload, inter int64) perfmodel.Chunk {
 // hypernode (the SCI buffer serves every re-read), divided among the
 // hypernode's threads.
 func importChunk(w *Workload, hypernodes, procs int) perfmodel.Chunk {
-	var c perfmodel.Chunk
-	if hypernodes <= 1 {
-		return c
-	}
-	threadsPerHN := int64(procs / hypernodes)
-	if threadsPerHN < 1 {
-		threadsPerHN = 1
-	}
 	treeLines := int64(w.TreeNodes) * NodeBytes / topology.CacheLineBytes
-	imports := treeLines * int64(hypernodes-1) / int64(hypernodes) / threadsPerHN
-	c.GlobalMisses += imports
-	// The same lines would otherwise have been crossbar misses.
-	c.HypernodeMisses -= imports
-	if c.HypernodeMisses < 0 {
-		c.HypernodeMisses = 0
-	}
-	return c
+	return perfmodel.Chunk{GlobalMisses: perfmodel.RingImports(treeLines, hypernodes, procs)}
 }
 
 // forceChunk is the static-partition combination used by Run: traversal
 // work plus the thread's import share.
-func forceChunk(p topology.Params, w *Workload, inter int64, hypernodes, procs int) perfmodel.Chunk {
+func forceChunk(w *Workload, inter int64, hypernodes, procs int) perfmodel.Chunk {
 	c := forceWork(w, inter)
-	imp := importChunk(w, hypernodes, procs)
-	if imp.GlobalMisses > 0 {
-		// Convert that many crossbar misses into ring imports.
-		moved := imp.GlobalMisses
-		if moved > c.HypernodeMisses {
-			moved = c.HypernodeMisses
-		}
-		c.HypernodeMisses -= moved
-		c.GlobalMisses += moved
-	}
+	// The imported lines would otherwise have been crossbar misses:
+	// convert that many crossbar misses into ring imports.
+	moved := min(importChunk(w, hypernodes, procs).GlobalMisses, c.HypernodeMisses)
+	c.HypernodeMisses -= moved
+	c.GlobalMisses += moved
 	return c
 }
 
-// Run times the shared-memory tree code: thread 0 rebuilds the tree each
-// step (the serial fraction), then every thread computes forces for its
-// contiguous particle block — the per-block loads coming from the real
-// measured traversals, so load imbalance is the genuine article.
-func Run(w *Workload, procs, hypernodes, steps int) (Result, error) {
+// staticLoads aggregates the microblocks into per-thread interaction
+// loads for the static block partition.
+func (w *Workload) staticLoads(procs int) ([]int64, error) {
 	if blocks%procs != 0 {
-		return Result{}, fmt.Errorf("nbody: procs %d must divide %d", procs, blocks)
+		return nil, fmt.Errorf("nbody: procs %d must divide %d", procs, blocks)
 	}
+	per := blocks / procs
+	loads := make([]int64, procs)
+	for tid := range loads {
+		for _, inter := range w.MicroBlocks[tid*per : (tid+1)*per] {
+			loads[tid] += inter
+		}
+	}
+	return loads, nil
+}
+
+// Run times the shared-memory tree code with the static block
+// partition: every thread computes forces for its contiguous particle
+// block — the per-block loads coming from the real measured traversals,
+// so load imbalance is the genuine article.
+func Run(w *Workload, procs, hypernodes, steps int) (Result, error) {
+	loads, err := w.staticLoads(procs)
+	if err != nil {
+		return Result{}, err
+	}
+	return run(w, procs, hypernodes, steps, func(m *machine.Machine) func(*machine.Thread, int) {
+		forceCycles := make([]int64, procs)
+		for tid, inter := range loads {
+			forceCycles[tid] = perfmodel.Cycles(m.P, forceChunk(w, inter, hypernodes, procs))
+		}
+		return func(th *machine.Thread, tid int) { th.ComputeCycles(forceCycles[tid]) }
+	})
+}
+
+// run is the tree code's one step loop: thread 0 rebuilds the tree each
+// step (the serial fraction), then every thread runs the force phase
+// that newForce builds on the machine, then pushes its share of the
+// bodies, with a barrier after each phase.
+func run(w *Workload, procs, hypernodes, steps int, newForce func(*machine.Machine) func(th *machine.Thread, tid int)) (Result, error) {
 	m, err := machine.New(machine.Config{Hypernodes: hypernodes})
 	if err != nil {
 		return Result{}, err
@@ -201,37 +212,24 @@ func Run(w *Workload, procs, hypernodes, steps int) (Result, error) {
 		place = threads.Uniform // paper: "2,4,8 and 16 processors across two hypernodes"
 	}
 
-	// Per-thread interaction loads: aggregate microblocks.
-	per := blocks / procs
-	loads := make([]int64, procs)
-	for tid := 0; tid < procs; tid++ {
-		for b := tid * per; b < (tid+1)*per; b++ {
-			loads[tid] += w.MicroBlocks[b]
-		}
-	}
 	// Tree insertion walks ~log8(N) levels of pointer-chased nodes;
 	// roughly half those probes miss.
 	depth := 0
 	for n := w.N; n > 1; n >>= 3 {
 		depth++
 	}
-	buildChunk := perfmodel.Chunk{
+	buildCycles := perfmodel.Cycles(m.P, perfmodel.Chunk{
 		Flops:       int64(w.N) * buildFlopsPerBody,
 		IntOps:      int64(w.N) * buildIntOpsPerBody,
 		CacheHits:   int64(w.N) * 6,
 		LocalMisses: int64(w.N) * int64(depth) / 2,
-	}
-	pushChunk := perfmodel.Chunk{
+	})
+	pushCycles := perfmodel.Cycles(m.P, perfmodel.Chunk{
 		Flops:       int64(w.N/procs) * pushFlopsPerBody,
 		CacheHits:   int64(w.N/procs) * 12,
 		LocalMisses: int64(w.N/procs) * 2, // 6 words read + written
-	}
-	buildCycles := perfmodel.Cycles(m.P, buildChunk)
-	pushCycles := perfmodel.Cycles(m.P, pushChunk)
-	forceCycles := make([]int64, procs)
-	for tid := range forceCycles {
-		forceCycles[tid] = perfmodel.Cycles(m.P, forceChunk(m.P, w, loads[tid], hypernodes, procs))
-	}
+	})
+	force := newForce(m)
 
 	bar := threads.NewBarrier(m, procs, 0)
 	elapsed, err := threads.RunTeam(m, procs, place, func(th *machine.Thread, tid int) {
@@ -240,7 +238,7 @@ func Run(w *Workload, procs, hypernodes, steps int) (Result, error) {
 				th.ComputeCycles(buildCycles)
 			}
 			bar.Wait(th)
-			th.ComputeCycles(forceCycles[tid])
+			force(th, tid)
 			bar.Wait(th)
 			th.ComputeCycles(pushCycles)
 			bar.Wait(th)

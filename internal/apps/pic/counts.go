@@ -48,16 +48,11 @@ type Model struct {
 	Hypernodes int
 	// Replicated marks the PVM variant's private replicated grids.
 	Replicated bool
-	// CacheBytes is the per-CPU data cache (1 MB).
-	CacheBytes int64
 }
 
 // NewModel builds the work model for a run.
 func NewModel(size Size, procs, hypernodes int, replicated bool) Model {
-	return Model{
-		Size: size, Procs: procs, Hypernodes: hypernodes,
-		Replicated: replicated, CacheBytes: topology.CacheBytes,
-	}
+	return Model{Size: size, Procs: procs, Hypernodes: hypernodes, Replicated: replicated}
 }
 
 func (m Model) particlesPerThread() int64 {
@@ -82,18 +77,7 @@ func (m Model) splitGrid(misses, lineFootprint int64, c *perfmodel.Chunk) {
 		c.LocalMisses += misses
 		return
 	}
-	if m.Hypernodes <= 1 {
-		c.HypernodeMisses += misses
-		return
-	}
-	threadsPerHN := int64(m.Procs / m.Hypernodes)
-	if threadsPerHN < 1 {
-		threadsPerHN = 1
-	}
-	imports := lineFootprint * int64(m.Hypernodes-1) / int64(m.Hypernodes) / threadsPerHN
-	if imports > misses {
-		imports = misses
-	}
+	imports := min(perfmodel.RingImports(lineFootprint, m.Hypernodes, m.Procs), misses)
 	c.GlobalMisses += imports
 	c.HypernodeMisses += misses - imports
 }
@@ -120,7 +104,7 @@ func (m Model) DepositChunk() perfmodel.Chunk {
 	c.LocalMisses += touched
 	// Capacity misses when the partial does not fit the cache: the 8
 	// CIC cells of one particle span about 3 distinct lines.
-	capFrac := perfmodel.CapacityMissFraction(int64(cells)*wordBytes, m.CacheBytes)
+	capFrac := perfmodel.CapacityMissFraction(int64(cells)*wordBytes, topology.CacheBytes)
 	c.LocalMisses += int64(float64(np*3) * capFrac)
 	return c
 }
@@ -172,7 +156,7 @@ func (m Model) SolveChunk(serial bool) perfmodel.Chunk {
 	complexBytes := cells * 2 * wordBytes
 	sweepLines := complexBytes / topology.CacheLineBytes
 	misses := 4 * 2 * sweepLines / share // 2 strided passes per transform
-	capFrac := perfmodel.CapacityMissFraction(complexBytes, m.CacheBytes)
+	capFrac := perfmodel.CapacityMissFraction(complexBytes, topology.CacheBytes)
 	misses += int64(float64(4*cells/share) * capFrac)
 	m.splitGrid(misses, 4*sweepLines, &c)
 	return c
@@ -199,7 +183,7 @@ func (m Model) GatherPushChunk() perfmodel.Chunk {
 		touched = 3 * gridLines(int(np))
 	}
 	fieldMisses := touched
-	capFrac := perfmodel.CapacityMissFraction(3*int64(cells)*wordBytes, m.CacheBytes)
+	capFrac := perfmodel.CapacityMissFraction(3*int64(cells)*wordBytes, topology.CacheBytes)
 	fieldMisses += int64(float64(np*9) * capFrac)
 	m.splitGrid(fieldMisses, 3*gridLines(cells), &c)
 	return c

@@ -12,12 +12,13 @@ import (
 
 // Per-sweep-cell operation counts of the PPM kernel in ppm.go:
 // four-variable reconstruction with limiting, one HLL flux, and the
-// conservative update with the primitive/conserved conversions.
+// conservative update with the primitive/conserved conversions. AMR's
+// blocks run the same kernel and charge the same counts.
 const (
-	sweepCellFlops   = 260
-	sweepCellDivides = 6
-	sweepCellIntOps  = 150
-	sweepCellHits    = 90
+	SweepCellFlops   = 260
+	SweepCellDivides = 6
+	SweepCellIntOps  = 150
+	SweepCellHits    = 90
 	// sweepCellLines is the streaming line traffic per processed cell
 	// (pencil load/store plus flux scratch).
 	sweepCellLines = 2.2
@@ -29,7 +30,7 @@ const (
 
 // ZoneFlops is the counted floating-point work per interior zone per
 // full timestep (both sweeps + wavespeed scan), used for Mflop/s.
-func ZoneFlops() int64 { return 2*sweepCellFlops + 2*sweepCellDivides*2 + wavespeedFlops }
+func ZoneFlops() int64 { return 2*SweepCellFlops + 2*SweepCellDivides*2 + wavespeedFlops }
 
 // Config is one Table 2 configuration.
 type Config struct {
@@ -66,7 +67,7 @@ func (r Result) String() string {
 // loop structure of Grid.SweepX/SweepY: the x-sweep processes every
 // padded row (the redundant ghost-frame computation that makes small
 // tiles less efficient), the y-sweep the interior columns.
-func tileChunk(tw, th int, hypernodes, procs int) perfmodel.Chunk {
+func tileChunk(tw, th, hypernodes int) perfmodel.Chunk {
 	xCells := int64((th + 2*Pad) * (tw + 2*Pad - 6))
 	yCells := int64(tw * (th + 2))
 	cells := xCells + yCells
@@ -74,10 +75,10 @@ func tileChunk(tw, th int, hypernodes, procs int) perfmodel.Chunk {
 	zones := int64(tw * th)
 
 	c := perfmodel.Chunk{
-		Flops:     cells*sweepCellFlops + zones*wavespeedFlops,
-		Divides:   cells * sweepCellDivides,
-		IntOps:    cells*sweepCellIntOps + rows*rowFixedCycles,
-		CacheHits: cells * sweepCellHits,
+		Flops:     cells*SweepCellFlops + zones*wavespeedFlops,
+		Divides:   cells * SweepCellDivides,
+		IntOps:    cells*SweepCellIntOps + rows*rowFixedCycles,
+		CacheHits: cells * SweepCellHits,
 	}
 	c.LocalMisses += int64(float64(cells) * sweepCellLines)
 
@@ -96,23 +97,23 @@ func tileChunk(tw, th int, hypernodes, procs int) perfmodel.Chunk {
 	}
 	c.LocalMisses += int64(float64(cells) * conflict)
 
-	// Ghost exchange: the frame cells are copied from neighbouring
-	// tiles' interiors — shared-memory traffic over the crossbar, part
-	// of it over the rings when the team spans hypernodes.
+	GhostExchange(tw, th, hypernodes, &c)
+	return c
+}
+
+// GhostExchange adds one tw×th tile's ghost-frame fill to c: the frame
+// cells are copied from neighbouring tiles' interiors — shared-memory
+// traffic over the crossbar, part of it over the rings when the team
+// spans hypernodes.
+func GhostExchange(tw, th, hypernodes int, c *perfmodel.Chunk) {
 	ghostCells := int64((tw+2*Pad)*(th+2*Pad) - tw*th)
 	ghostLines := ghostCells * 4 * 8 / topology.CacheLineBytes
+	var imports int64
 	if hypernodes > 1 {
-		threadsPerHN := int64(procs / hypernodes)
-		if threadsPerHN < 1 {
-			threadsPerHN = 1
-		}
-		imports := ghostLines / 4 // boundary tiles' remote neighbours
-		c.GlobalMisses += imports
-		c.HypernodeMisses += ghostLines - imports
-	} else {
-		c.HypernodeMisses += ghostLines
+		imports = ghostLines / 4 // boundary tiles' remote neighbours
 	}
-	return c
+	c.GlobalMisses += imports
+	c.HypernodeMisses += ghostLines - imports
 }
 
 // Run times one Table 2 configuration on the simulated machine: tiles
@@ -130,7 +131,7 @@ func Run(cfg Config, procs, steps int) (Result, error) {
 	}
 	tw, th := cfg.W/cfg.TX, cfg.H/cfg.TY
 	perThread := nt / procs
-	chunk := tileChunk(tw, th, hn, procs)
+	chunk := tileChunk(tw, th, hn)
 	tileCycles := perfmodel.Cycles(m.P, chunk)
 	// dt reduction scan: part of the tile sweep chunk already; the
 	// reduction itself is a barrier plus a tiny serial combine.

@@ -27,11 +27,8 @@ type Chunk struct {
 	// HypernodeMisses are misses served across the crossbar (including
 	// global-buffer hits).
 	HypernodeMisses int64
-	// GlobalMisses are misses served across the SCI rings.
+	// GlobalMisses are misses served across the SCI rings (one hop).
 	GlobalMisses int64
-	// GlobalHops is the mean ring hop count for GlobalMisses (defaults
-	// to 1 when zero).
-	GlobalHops int
 }
 
 // DivideCycles is the PA-7100 floating divide latency.
@@ -48,14 +45,24 @@ func Cycles(p topology.Params, c Chunk) int64 {
 	if mem > base {
 		base = mem
 	}
-	hops := c.GlobalHops
-	if hops <= 0 {
-		hops = 1
-	}
 	return base +
 		c.LocalMisses*p.LocalMiss +
 		c.HypernodeMisses*p.HypernodeMiss +
-		c.GlobalMisses*p.GlobalMissCycles(hops)
+		c.GlobalMisses*p.GlobalMissCycles(1)
+}
+
+// RingImports is one thread's share of the ring traffic that far-shared
+// data of the given line footprint costs per pass. The SCI global cache
+// buffer serves every re-read, so each remote line crosses the rings
+// once per hypernode: the (hypernodes−1)/hypernodes of the footprint
+// homed elsewhere, divided among the hypernode's threads. A team on one
+// hypernode imports nothing.
+func RingImports(lines int64, hypernodes, procs int) int64 {
+	if hypernodes <= 1 {
+		return 0
+	}
+	threadsPerHN := int64(max(procs/hypernodes, 1))
+	return lines * int64(hypernodes-1) / int64(hypernodes) / threadsPerHN
 }
 
 // CapacityMissFraction is the fraction of re-accesses that miss when a

@@ -47,16 +47,28 @@ func TestDividesCost(t *testing.T) {
 	}
 }
 
-func TestGlobalHopsDefault(t *testing.T) {
+func TestGlobalMissCost(t *testing.T) {
 	p := topology.DefaultParams()
-	a := Cycles(p, Chunk{GlobalMisses: 1})
-	b := Cycles(p, Chunk{GlobalMisses: 1, GlobalHops: 1})
-	if a != b {
-		t.Fatalf("zero hops should default to 1: %d vs %d", a, b)
+	if got, want := Cycles(p, Chunk{GlobalMisses: 1}), p.GlobalMissCycles(1); got != want {
+		t.Fatalf("one global miss = %d cycles, want %d (one ring hop)", got, want)
 	}
-	c := Cycles(p, Chunk{GlobalMisses: 1, GlobalHops: 8})
-	if c <= b {
-		t.Fatal("more hops must cost more")
+}
+
+func TestRingImports(t *testing.T) {
+	for _, c := range []struct {
+		name              string
+		lines             int64
+		hypernodes, procs int
+		want              int64
+	}{
+		{"one hypernode", 4096, 1, 8, 0},
+		{"fewer procs than hypernodes", 4096, 4, 2, 4096 * 3 / 4},
+		{"16 procs on 2 hypernodes", 4096, 2, 16, 4096 * 1 / 2 / 8},
+		{"128 procs on 16 hypernodes", 100003, 16, 128, 100003 * 15 / 16 / 8},
+	} {
+		if got := RingImports(c.lines, c.hypernodes, c.procs); got != c.want {
+			t.Errorf("%s: RingImports(%d, %d, %d) = %d, want %d", c.name, c.lines, c.hypernodes, c.procs, got, c.want)
+		}
 	}
 }
 

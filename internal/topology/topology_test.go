@@ -173,6 +173,11 @@ func TestGlobalMissRatio(t *testing.T) {
 	if ratio < 6.5 || ratio > 9.5 {
 		t.Fatalf("global/local miss ratio = %.2f, want ≈8", ratio)
 	}
+	// Each further hop adds one ring hop to the request and one to the
+	// response.
+	if got, want := p.GlobalMissCycles(8)-p.GlobalMissCycles(1), 14*p.RingHop; got != want {
+		t.Fatalf("7 extra hops add %d cycles, want %d", got, want)
+	}
 }
 
 func TestClassString(t *testing.T) {
