@@ -2,9 +2,12 @@
 
 GO ?= go
 
-# PR-numbered performance artifacts (bump per PR to track the trajectory).
+# Numbered performance artifacts (bump to track the trajectory).
 BENCH_JSON ?= BENCH_15.json
-LOAD_JSON ?= LOAD_8.json
+# Where loadcheck writes sppload's artifact. Empty (the default) sends it
+# to a temp file, so verify never rewrites a committed LOAD_n.json; set
+# it to record a new one: make loadcheck LOAD_JSON=LOAD_9.json
+LOAD_JSON ?=
 
 .PHONY: all verify build test race bench loadcheck vet fmtcheck doc lint lint-annotations cover faultmatrix checkpoint pdes cluster reproduce quick serve servegw examples clean
 
@@ -72,17 +75,19 @@ bench:
 
 # The load-harness + perf-trend gate: start a fresh sppd, drive the
 # bounded closed-loop sppload profile against it (exact client-vs-server
-# metrics reconciliation; artifact lands in $(LOAD_JSON)), then run the
-# benchtrend regression gate over the committed BENCH_*/LOAD_* history.
-# Methodology: docs/BENCHMARKS.md.
+# metrics reconciliation, which sets sppload's exit status; artifact
+# lands in $(LOAD_JSON) if set, else in a temp file that is removed),
+# then run the benchtrend regression gate over the committed
+# BENCH_*/LOAD_* history. Methodology: docs/BENCHMARKS.md.
 SPPLOAD_ADDR ?= 127.0.0.1:8187
 loadcheck:
 	$(GO) build -o /tmp/sppd ./cmd/sppd && $(GO) build -o /tmp/sppload ./cmd/sppload && $(GO) build -o /tmp/benchtrend ./cmd/benchtrend
+	out='$(LOAD_JSON)'; if [ -z "$$out" ]; then out=$$(mktemp) || exit 1; trap 'rm -f "$$out"' EXIT; fi; \
 	/tmp/sppd -addr $(SPPLOAD_ADDR) -par 4 & pid=$$!; \
-	/tmp/sppload -addr http://$(SPPLOAD_ADDR) -wait 10s -o $(LOAD_JSON); st=$$?; \
+	/tmp/sppload -addr http://$(SPPLOAD_ADDR) -wait 10s -o "$$out"; st=$$?; \
 	kill $$pid 2>/dev/null; wait $$pid 2>/dev/null; exit $$st
 	/tmp/benchtrend
-	@echo "wrote $(LOAD_JSON)"
+	$(if $(LOAD_JSON),@echo "wrote $(LOAD_JSON)")
 
 cover:
 	$(GO) test -cover ./...

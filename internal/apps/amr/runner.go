@@ -28,9 +28,6 @@ func (r Result) String() string {
 		float64(r.UniformZones)/float64(r.ZoneUpdates))
 }
 
-// zoneFlops reuses the PPM per-zone operation counts (both sweeps).
-const zoneFlops = 2 * ppm.SweepCellFlops
-
 // Run evolves the domain `steps` steps while timing it on the simulated
 // machine: each step, the leaf blocks (Morton-ordered by construction
 // of the quadtree walk) are dealt round-robin to the team; ghost fills
@@ -47,16 +44,17 @@ func Run(d *Domain, procs, steps int) (Result, error) {
 
 	// Per-block per-step cost (PPM sweeps over BlockSize² + ghost fill
 	// traffic; ghost sources live on other threads' blocks → crossbar
-	// or ring class).
+	// or ring class). Both sweeps cross the padded block, so every
+	// per-cell count is charged twice.
 	blockChunk := func() int64 {
-		cells := int64((BlockSize + 2*ppm.Pad) * (BlockSize + 2))
+		cells := 2 * int64((BlockSize+2*ppm.Pad)*(BlockSize+2))
 		c := perfmodel.Chunk{
-			Flops:     cells * ppm.SweepCellFlops * 2,
-			Divides:   cells * ppm.SweepCellDivides,
-			IntOps:    cells * ppm.SweepCellIntOps,
-			CacheHits: cells * ppm.SweepCellHits,
+			Flops:       cells * ppm.SweepCellFlops,
+			Divides:     cells * ppm.SweepCellDivides,
+			IntOps:      cells * ppm.SweepCellIntOps,
+			CacheHits:   cells * ppm.SweepCellHits,
+			LocalMisses: cells,
 		}
-		c.LocalMisses = cells * 2
 		ppm.GhostExchange(BlockSize, BlockSize, hn, &c)
 		return perfmodel.Cycles(m.P, c)
 	}()
@@ -102,7 +100,7 @@ func Run(d *Domain, procs, steps int) (Result, error) {
 	uniform := int64(d.RootW*d.RootH*BlockSize*BlockSize) << (2 * uint(maxLvl)) * int64(steps)
 	return Result{
 		Procs: procs, Steps: steps, Seconds: sec,
-		Mflops:       float64(updates*zoneFlops) / sec / 1e6,
+		Mflops:       float64(updates*ppm.ZoneFlops()) / sec / 1e6,
 		LeafBlocks:   leaves,
 		MaxLevel:     maxLvl,
 		ZoneUpdates:  updates,

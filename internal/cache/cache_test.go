@@ -14,23 +14,23 @@ func key(space uint32, line uint64) topology.LineKey {
 	return topology.LineKey{Space: topology.Space(space), Line: line}
 }
 
-// counted attaches a fresh counter group to c, so a test can read the
-// cache's event counts back.
-func counted(c *Cache) (*Cache, *counters.Group) {
-	g := counters.NewRegistry().Group("cache")
-	c.AttachCounters(g)
-	return c, g
+// counted attaches a fresh counter group to c and returns a reader of
+// the event counts production reports for it.
+func counted(c *Cache) (*Cache, func(name string) int64) {
+	reg := counters.NewRegistry()
+	c.AttachCounters(reg.Group("cache"))
+	return c, func(name string) int64 { return reg.Snapshot().Counter("cache", name) }
 }
 
 func TestMissThenHit(t *testing.T) {
-	c, g := counted(New())
+	c, count := counted(New())
 	if r := c.Access(key(1, 10), false); r.Hit {
 		t.Fatal("first access should miss")
 	}
 	if r := c.Access(key(1, 10), false); !r.Hit {
 		t.Fatal("second access should hit")
 	}
-	if h, m := g.Counter("hits").Value(), g.Counter("misses").Value(); h != 1 || m != 1 {
+	if h, m := count("hits"), count("misses"); h != 1 || m != 1 {
 		t.Fatalf("hits = %d, misses = %d, want 1 and 1", h, m)
 	}
 }
@@ -74,7 +74,7 @@ func TestDistinctSpacesDoNotAlias(t *testing.T) {
 }
 
 func TestInvalidate(t *testing.T) {
-	c, g := counted(New())
+	c, count := counted(New())
 	c.Access(key(1, 10), true)
 	present, dirty := c.Invalidate(key(1, 10))
 	if !present || !dirty {
@@ -87,7 +87,7 @@ func TestInvalidate(t *testing.T) {
 	if present {
 		t.Fatal("second invalidate should find nothing")
 	}
-	if n := g.Counter("invalidations").Value(); n != 1 {
+	if n := count("invalidations"); n != 1 {
 		t.Fatalf("invalidation count = %d, want 1", n)
 	}
 }
@@ -138,11 +138,11 @@ func TestAccessInvalidateProperty(t *testing.T) {
 // Property: hit+miss counts always equal total accesses.
 func TestStatsBalanceProperty(t *testing.T) {
 	prop := func(lines []uint8) bool {
-		c, g := counted(NewWithLines(8))
+		c, count := counted(NewWithLines(8))
 		for _, l := range lines {
 			c.Access(key(0, uint64(l)), l%2 == 0)
 		}
-		return g.Counter("hits").Value()+g.Counter("misses").Value() == int64(len(lines))
+		return count("hits")+count("misses") == int64(len(lines))
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -209,7 +209,7 @@ func (m *model) invalidate(k topology.LineKey) (present, dirty bool) {
 func TestMatchesFlatModel(t *testing.T) {
 	for _, lines := range []int{1, 7, 511, 512, 513, 4096, 32768} {
 		rng := rand.New(rand.NewSource(int64(lines)))
-		c, g := counted(NewWithLines(lines))
+		c, count := counted(NewWithLines(lines))
 		m := &model{slots: make([]slot, lines), counts: map[string]int64{}}
 		// Draw keys from a window a few times the capacity so that hits,
 		// conflict evictions and untouched pages all occur.
@@ -245,7 +245,7 @@ func TestMatchesFlatModel(t *testing.T) {
 			}
 		}
 		for _, name := range []string{"hits", "misses", "evictions", "writebacks", "invalidations"} {
-			if got, want := g.Counter(name).Value(), m.counts[name]; got != want {
+			if got, want := count(name), m.counts[name]; got != want {
 				t.Fatalf("lines=%d %s = %d, model %d", lines, name, got, want)
 			}
 		}

@@ -50,14 +50,6 @@ func (c *Counter) Add(n int64) {
 	}
 }
 
-// Value reports the current count (0 on a nil counter).
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
-
 // NumBuckets is the fixed bucket count of every Histogram: power-of-two
 // upper bounds 1, 2, 4, … 128, plus one overflow bucket.
 const NumBuckets = 9
@@ -98,30 +90,13 @@ func (h *Histogram) Observe(v int64) {
 	h.cur.Buckets[bucketFor(v)]++
 }
 
-// Value reports the accumulated distribution (zero on a nil histogram).
-func (h *Histogram) Value() HistogramValue {
-	if h == nil {
-		return HistogramValue{}
-	}
-	return h.cur
-}
-
 // Group is the counter namespace of one component instance (for example
 // cache.hn0 or sci). Asking twice for the same name returns the same
 // handle, so several sub-components may share one aggregated counter.
 // A nil Group hands out nil handles, which keeps the disabled path free.
 type Group struct {
-	name     string
 	counters map[string]*Counter
 	hists    map[string]*Histogram
-}
-
-// Name reports the group's name ("" on a nil group).
-func (g *Group) Name() string {
-	if g == nil {
-		return ""
-	}
-	return g.name
 }
 
 // Counter returns (creating on first use) the named counter in the
@@ -174,7 +149,7 @@ func (r *Registry) Group(name string) *Group {
 	}
 	g, ok := r.groups[name]
 	if !ok {
-		g = &Group{name: name, counters: make(map[string]*Counter), hists: make(map[string]*Histogram)}
+		g = &Group{counters: make(map[string]*Counter), hists: make(map[string]*Histogram)}
 		r.groups[name] = g
 	}
 	return g

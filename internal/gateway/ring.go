@@ -150,6 +150,3 @@ func (r *Ring) Owners(key string) []string {
 	}
 	return out
 }
-
-// Len reports the number of member backends.
-func (r *Ring) Len() int { return len(r.members) }

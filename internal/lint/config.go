@@ -134,7 +134,7 @@ var RequiredHotpaths = map[string][]string{
 	// The event-kernel inner loop: pop, clock advance, direct Proc
 	// resume or callback dispatch — 0 allocs/event since PR 1.
 	"internal/sim": {
-		"Kernel.Run", "Kernel.RunUntil", "Kernel.atProc", "Kernel.resumeProc",
+		"Kernel.run", "Kernel.atProc", "Kernel.resumeProc",
 		"eventHeap.push", "eventHeap.pop", "Proc.Delay",
 	},
 	// The counters-disabled path: a nil-receiver branch and nothing

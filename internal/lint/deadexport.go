@@ -25,11 +25,13 @@ import (
 //
 // Objects are keyed by package path, receiver type and name, so
 // references resolved in a separately loaded module match the
-// declarations they name. Methods are judged conservatively: a method
-// whose name some interface in the loaded program declares (String,
-// Error, ServeHTTP, Len, ...) may be reached through that interface
-// without any selector naming it, so it is never flagged. A missed
-// finding is acceptable; a false one is not.
+// declarations they name. A method may be reached through an interface
+// without any selector naming it, so a method that implements some
+// interface in the loaded program for a type of the reference universe
+// (its own receiver type, or a type that embeds it) is never flagged.
+// A method that shares only its name with an interface method is
+// judged like any other. A missed finding is acceptable; a false one
+// is not.
 var DeadExport = &Analyzer{
 	Name:      "deadexport",
 	Doc:       "flag exported internal/ identifiers that no non-test, non-example file of the module (or of perfbench) references",
@@ -39,7 +41,10 @@ var DeadExport = &Analyzer{
 // ifaceMethodsAlways are method names that satisfy interfaces declared
 // outside any package scope the loader can see: the universe's error,
 // and the anonymous interfaces the errors and fmt packages assert.
-var ifaceMethodsAlways = []string{"Error", "String", "ServeHTTP", "Unwrap", "Is", "As", "Format", "GoString"}
+var ifaceMethodsAlways = map[string]bool{
+	"Error": true, "String": true, "ServeHTTP": true, "Unwrap": true,
+	"Is": true, "As": true, "Format": true, "GoString": true,
+}
 
 // deadCandidate is one exported declaration under judgment.
 type deadCandidate struct {
@@ -94,7 +99,7 @@ func runDeadExport(mp *ModulePass) error {
 		universe = append(universe, more...)
 	}
 
-	ifaceMethods := interfaceMethodNames(universe)
+	viaIface := interfaceReached(universe)
 	cands := make(map[string]*deadCandidate)
 	var order []*deadCandidate
 	for _, pkg := range mp.Pkgs {
@@ -102,7 +107,7 @@ func runDeadExport(mp *ModulePass) error {
 		if !ok || !(rel == "internal" || strings.HasPrefix(rel, "internal/")) {
 			continue
 		}
-		for _, c := range exportedDecls(pkg, ifaceMethods) {
+		for _, c := range exportedDecls(pkg, viaIface) {
 			cands[c.key] = c
 			order = append(order, c)
 		}
@@ -176,8 +181,8 @@ func missingModulePkgs(root string, pkgs []*Package) ([]string, error) {
 }
 
 // exportedDecls returns the package's exported package-level
-// declarations, minus methods an interface might reach.
-func exportedDecls(pkg *Package, ifaceMethods map[string]bool) []*deadCandidate {
+// declarations, minus the methods viaIface says an interface reaches.
+func exportedDecls(pkg *Package, viaIface map[string]bool) []*deadCandidate {
 	var out []*deadCandidate
 	add := func(id *ast.Ident, kind string, decl ast.Node) {
 		if !id.IsExported() {
@@ -187,7 +192,7 @@ func exportedDecls(pkg *Package, ifaceMethods map[string]bool) []*deadCandidate 
 		if obj == nil {
 			return
 		}
-		if key := objectKey(obj); key != "" {
+		if key := objectKey(obj); key != "" && !viaIface[key] {
 			out = append(out, &deadCandidate{key: key, kind: kind, name: id.Pos(), decl: []ast.Node{decl}})
 		}
 	}
@@ -197,7 +202,7 @@ func exportedDecls(pkg *Package, ifaceMethods map[string]bool) []*deadCandidate 
 			case *ast.FuncDecl:
 				if d.Recv == nil {
 					add(d.Name, "func", d)
-				} else if !ifaceMethods[d.Name.Name] {
+				} else if !ifaceMethodsAlways[d.Name.Name] {
 					add(d.Name, "method", d)
 				}
 			case *ast.GenDecl:
@@ -279,34 +284,47 @@ func within(nodes []ast.Node, pos token.Pos) bool {
 	return false
 }
 
-// interfaceMethodNames collects every method name an interface declares
-// anywhere in the loaded program: interface types written in the loaded
-// sources (including anonymous ones in assertions), the package-scope
-// interfaces of every package they import, transitively, and
-// ifaceMethodsAlways.
-func interfaceMethodNames(pkgs []*Package) map[string]bool {
-	names := make(map[string]bool)
-	for _, n := range ifaceMethodsAlways {
-		names[n] = true
-	}
+// interfaceReached returns the keys of the methods an interface call
+// may reach: for each type T of the program, for T and *T, the methods
+// (declared or promoted through embedded fields) that implement an
+// interface T or *T implements. The interfaces are the package-scope
+// interfaces of every package the sources import, transitively, and
+// the interface types written in the sources (anonymous ones
+// included). The types are the ones the sources declare (local ones
+// included) and those of the imported module packages, which may be
+// embedded.
+//
+// The loader type-checks each package from source while its importers
+// see it through export data, and each Load has its own importer, so
+// one named type has several identities. Every identity of every type
+// is tested against every identity of every interface; some pair then
+// shares identities wherever an implementation exists, and
+// types.Implements finds it.
+func interfaceReached(pkgs []*Package) map[string]bool {
+	var ifaces []*types.Interface
+	var named []*types.TypeName
 	addIface := func(it *types.Interface) {
-		for i := 0; i < it.NumMethods(); i++ {
-			names[it.Method(i).Name()] = true
+		if it.NumMethods() > 0 {
+			ifaces = append(ifaces, it)
 		}
 	}
-	seen := make(map[string]bool)
+	seen := make(map[*types.Package]bool)
 	var visit func(*types.Package)
 	visit = func(p *types.Package) {
-		if seen[p.Path()] {
+		if seen[p] {
 			return
 		}
-		seen[p.Path()] = true
+		seen[p] = true
 		scope := p.Scope()
 		for _, n := range scope.Names() {
-			if tn, ok := scope.Lookup(n).(*types.TypeName); ok {
-				if it, ok := tn.Type().Underlying().(*types.Interface); ok {
-					addIface(it)
-				}
+			tn, ok := scope.Lookup(n).(*types.TypeName)
+			if !ok {
+				continue
+			}
+			if it, ok := tn.Type().Underlying().(*types.Interface); ok {
+				addIface(it)
+			} else if strings.HasPrefix(p.Path(), ModulePath+"/") {
+				named = append(named, tn)
 			}
 		}
 		for _, imp := range p.Imports() {
@@ -314,14 +332,43 @@ func interfaceMethodNames(pkgs []*Package) map[string]bool {
 		}
 	}
 	for _, pkg := range pkgs {
-		visit(pkg.Types)
+		for _, imp := range pkg.Types.Imports() {
+			visit(imp)
+		}
 		for expr, tv := range pkg.Info.Types {
 			if _, ok := expr.(*ast.InterfaceType); ok {
-				if it, ok := tv.Type.(*types.Interface); ok {
-					addIface(it)
+				addIface(tv.Type.(*types.Interface))
+			}
+		}
+		for _, obj := range pkg.Info.Defs {
+			if tn, ok := obj.(*types.TypeName); ok && !types.IsInterface(tn.Type()) {
+				named = append(named, tn)
+			}
+		}
+	}
+
+	reached := make(map[string]bool)
+	for _, tn := range named {
+		for _, t := range []types.Type{tn.Type(), types.NewPointer(tn.Type())} {
+			ms := types.NewMethodSet(t)
+			if ms.Len() == 0 {
+				continue
+			}
+			for _, it := range ifaces {
+				// Most pairs fail on the first method's name; test it
+				// before the full check.
+				m := it.Method(0)
+				if ms.Lookup(m.Pkg(), m.Name()) == nil || !types.Implements(t, it) {
+					continue
+				}
+				for i := 0; i < it.NumMethods(); i++ {
+					m := it.Method(i)
+					if key := objectKey(ms.Lookup(m.Pkg(), m.Name()).Obj()); key != "" {
+						reached[key] = true
+					}
 				}
 			}
 		}
 	}
-	return names
+	return reached
 }

@@ -8,6 +8,14 @@ import (
 	"spp1000/internal/dead"
 )
 
+// sized is implemented by dead.Outer, partly through the Len it
+// promotes from dead.Inner.
+type sized interface {
+	Len() dead.Level
+	Cap() int
+}
+
 func main() {
-	fmt.Println(dead.UsedByCmd(), dead.Level(1))
+	var s sized = dead.Outer{}
+	fmt.Println(dead.UsedByCmd(), dead.Level(1), s.Len(), s.Cap(), dead.Tally{})
 }

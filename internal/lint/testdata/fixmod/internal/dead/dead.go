@@ -50,6 +50,29 @@ func (o *Orphan) Get() int { return o.n }
 
 type getter interface{ Get() int }
 
+// Tally shares a method name and signature with cmd/deaduse's sized
+// interface but lacks its Cap, so no interface call reaches its Len.
+type Tally struct{ n int }
+
+// Len is named like an interface method, which spares nothing.
+func (t Tally) Len() Level { return Level(t.n) } // want `exported method internal/dead\.Tally\.Len has`
+
+// Inner does not implement sized on its own.
+type Inner struct{ n int }
+
+// Len is promoted into Outer, which implements cmd/deaduse's sized, so
+// an interface call reaches it and it is never flagged.
+func (i Inner) Len() Level { return Level(i.n) }
+
+// Outer implements sized with its own Cap and Inner's Len.
+type Outer struct {
+	Inner
+	c int
+}
+
+// Cap is reached only through the sized interface.
+func (o Outer) Cap() int { return o.c }
+
 // Threshold is an unreferenced exported const.
 const Threshold = 10 // want `exported const internal/dead\.Threshold has`
 

@@ -20,8 +20,6 @@ import (
 type Config struct {
 	// Hypernodes is the number of hypernodes (1..16); 8 CPUs each.
 	Hypernodes int
-	// Params overrides the calibrated machine parameters (nil = default).
-	Params *topology.Params
 	// CacheLines scales down the per-CPU cache for fine-grained
 	// experiments (0 = the architectural 32768 lines).
 	CacheLines int
@@ -60,9 +58,6 @@ func New(cfg Config) (*Machine, error) {
 		return nil, err
 	}
 	p := topology.DefaultParams()
-	if cfg.Params != nil {
-		p = *cfg.Params
-	}
 	m := &Machine{
 		K:         sim.NewKernel(),
 		Topo:      topo,

@@ -35,18 +35,6 @@ func TestMustNewPanics(t *testing.T) {
 	MustNew(Config{Hypernodes: -1})
 }
 
-func TestCustomParams(t *testing.T) {
-	p := topology.DefaultParams()
-	p.LocalMiss = 123
-	m, err := New(Config{Hypernodes: 1, Params: &p})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.P.LocalMiss != 123 {
-		t.Fatal("params override ignored")
-	}
-}
-
 func TestThreadReadWriteAdvanceTime(t *testing.T) {
 	m := MustNew(Config{Hypernodes: 1})
 	sp := m.Alloc("x", topology.ThreadPrivate, 0, 0)

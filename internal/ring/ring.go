@@ -27,11 +27,10 @@ type hooks struct {
 
 // Network is the set of four rings of one machine.
 type Network struct {
-	topo    topology.Topology
-	params  topology.Params
-	rings   [topology.NumRings]sim.Resource
-	packets int64
-	ctr     hooks
+	topo   topology.Topology
+	params topology.Params
+	rings  [topology.NumRings]sim.Resource
+	ctr    hooks
 }
 
 // AttachCounters mirrors ring traffic into the group, per link:
@@ -74,7 +73,6 @@ func (n *Network) TransitCycles(src, dst, payloadBytes int) sim.Cycles {
 // returns its arrival time, including queueing behind earlier packets.
 func (n *Network) Send(now sim.Cycles, ringIdx, src, dst, payloadBytes int) sim.Cycles {
 	transit := n.TransitCycles(src, dst, payloadBytes)
-	n.packets++
 	done := n.rings[ringIdx].Reserve(now, transit)
 	if n.ctr.attached {
 		n.ctr.packets[ringIdx].Inc()
@@ -90,12 +88,4 @@ func (n *Network) Send(now sim.Cycles, ringIdx, src, dst, payloadBytes int) sim.
 func (n *Network) RoundTrip(now sim.Cycles, ringIdx, src, dst, payloadBytes int) sim.Cycles {
 	arrive := n.Send(now, ringIdx, src, dst, payloadBytes)
 	return n.Send(arrive, ringIdx, dst, src, topology.CacheLineBytes)
-}
-
-// Reset clears all ring horizons.
-func (n *Network) Reset() {
-	for i := range n.rings {
-		n.rings[i].Reset()
-	}
-	n.packets = 0
 }

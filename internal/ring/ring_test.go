@@ -3,7 +3,7 @@ package ring
 import (
 	"testing"
 
-	"spp1000/internal/sim"
+	"spp1000/internal/counters"
 	"spp1000/internal/topology"
 )
 
@@ -13,6 +13,14 @@ func network(t *testing.T, nodes int) *Network {
 		t.Fatal(err)
 	}
 	return New(topo, topology.DefaultParams())
+}
+
+// counted attaches a fresh counter group to n and returns a reader of
+// the PMU counters production reports for it.
+func counted(n *Network) func(name string) int64 {
+	reg := counters.NewRegistry()
+	n.AttachCounters(reg.Group("ring"))
+	return func(name string) int64 { return reg.Snapshot().Counter("ring", name) }
 }
 
 func TestTransitScalesWithHops(t *testing.T) {
@@ -48,6 +56,7 @@ func TestPayloadAddsSlots(t *testing.T) {
 
 func TestContentionQueues(t *testing.T) {
 	n := network(t, 2)
+	count := counted(n)
 	a := n.Send(0, 0, 0, 1, 32)
 	b := n.Send(0, 0, 0, 1, 32) // same ring, same instant
 	if b != 2*a {
@@ -57,31 +66,23 @@ func TestContentionQueues(t *testing.T) {
 	if c != a {
 		t.Fatalf("other ring should be free: %d, want %d", c, a)
 	}
+	if busy, queue := count("r0.busy_cycles"), count("r0.queue_cycles"); busy != 2*int64(a) || queue != int64(a) {
+		t.Fatalf("ring 0 busy/queue = %d/%d cycles, want %d/%d", busy, queue, 2*a, a)
+	}
+	if busy := count("r1.busy_cycles"); busy != int64(a) {
+		t.Fatalf("ring 1 busy = %d cycles, want %d", busy, a)
+	}
 }
 
 func TestRoundTrip(t *testing.T) {
 	n := network(t, 2)
+	count := counted(n)
 	rt := n.RoundTrip(0, 0, 0, 1, 32)
 	oneWay := n.TransitCycles(0, 1, 32)
 	if rt != 2*oneWay {
 		t.Fatalf("round trip = %d, want %d", rt, 2*oneWay)
 	}
-	if n.Packets() != 2 {
-		t.Fatalf("packets = %d, want 2", n.Packets())
+	if p := count("r0.packets"); p != 2 {
+		t.Fatalf("r0.packets = %d, want 2", p)
 	}
 }
-
-func TestReset(t *testing.T) {
-	n := network(t, 2)
-	n.Send(0, 0, 0, 1, 32)
-	n.Reset()
-	if n.Busy(0) != 0 || n.Packets() != 0 {
-		t.Fatal("reset should clear state")
-	}
-}
-
-// Packets reports the number of packets sent.
-func (n *Network) Packets() int64 { return n.packets }
-
-// Busy reports accumulated service time on one ring.
-func (n *Network) Busy(ringIdx int) sim.Cycles { return n.rings[ringIdx].Busy() }

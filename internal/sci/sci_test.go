@@ -86,8 +86,8 @@ func TestDetach(t *testing.T) {
 
 func TestPurgeWalksWholeList(t *testing.T) {
 	p := New(8)
-	g := counters.NewRegistry().Group("sci")
-	p.AttachCounters(g)
+	reg := counters.NewRegistry()
+	p.AttachCounters(reg.Group("sci"))
 	for hn := 1; hn < 6; hn++ {
 		p.Attach(line, 0, hn)
 	}
@@ -106,7 +106,7 @@ func TestPurgeWalksWholeList(t *testing.T) {
 			t.Fatalf("hn%d still buffers the purged line", hn)
 		}
 	}
-	if n := g.Counter("purged_copies").Value(); n != 5 {
+	if n := reg.Snapshot().Counter("sci", "purged_copies"); n != 5 {
 		t.Fatalf("purged_copies = %d, want 5", n)
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 )
 
@@ -186,21 +187,10 @@ func (k *Kernel) After(d Cycles, fn func()) { k.At(k.now+d, fn) }
 // Run executes events in timestamp order until the queue is empty.
 // It returns an error if Procs remain alive with nothing scheduled —
 // a deadlock in the simulated program. The failure message is built in
-// deadlockError, off the hot path, so the loop itself stays free of
+// deadlockError, off the hot path, so the event loop stays free of
 // heap escapes.
-//
-//simlint:hotpath
 func (k *Kernel) Run() error {
-	for len(k.events) > 0 {
-		e := k.events.pop()
-		k.now = e.at
-		k.eventsDone++
-		if e.proc != nil {
-			k.resumeProc(e.proc)
-		} else {
-			e.fn()
-		}
-	}
+	k.run(math.MaxInt64)
 	k.account()
 	if k.live > 0 {
 		return k.deadlockError()
@@ -220,11 +210,24 @@ func (k *Kernel) deadlockError() error {
 }
 
 // RunUntil executes events until the queue is empty or the clock would
-// pass t. The clock is left at min(t, time of last event executed).
+// pass t. The clock is left at t, or where it was if t is in the past.
+func (k *Kernel) RunUntil(t Cycles) error {
+	k.run(t)
+	if k.now < t {
+		k.now = t
+	}
+	k.account()
+	return nil
+}
+
+// run is the event loop of Run and RunUntil: it pops events in (at,
+// seq) order, advances the clock to each, and resumes its Proc or
+// calls its callback, until the queue is empty or the next event lies
+// after until.
 //
 //simlint:hotpath
-func (k *Kernel) RunUntil(t Cycles) error {
-	for len(k.events) > 0 && k.events[0].at <= t {
+func (k *Kernel) run(until Cycles) {
+	for len(k.events) > 0 && k.events[0].at <= until {
 		e := k.events.pop()
 		k.now = e.at
 		k.eventsDone++
@@ -234,11 +237,6 @@ func (k *Kernel) RunUntil(t Cycles) error {
 			e.fn()
 		}
 	}
-	if k.now < t {
-		k.now = t
-	}
-	k.account()
-	return nil
 }
 
 // account folds the cycles and events advanced since the last accounting

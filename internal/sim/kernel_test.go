@@ -220,10 +220,6 @@ func TestEventBroadcast(t *testing.T) {
 	if !ev.set {
 		t.Fatal("event should remain set")
 	}
-	ev.Reset()
-	if ev.set {
-		t.Fatal("event should be clear after Reset")
-	}
 }
 
 func TestQueueFIFOAndBlocking(t *testing.T) {

@@ -49,10 +49,10 @@ func (p *Proc) park() {
 	p.yield(struct{}{})
 }
 
-// unparkAt schedules the Proc to resume at absolute time t, on the
+// unpark schedules the Proc to resume at the current instant, on the
 // kernel's direct-resume fast path (no closure, no intermediate call).
-func (p *Proc) unparkAt(t Cycles) {
-	p.k.atProc(t, p)
+func (p *Proc) unpark() {
+	p.k.atProc(p.k.now, p)
 }
 
 // Delay advances the Proc's local view of time by d cycles: it parks and
@@ -66,6 +66,6 @@ func (p *Proc) Delay(d Cycles) {
 	if d < 0 {
 		d = 0
 	}
-	p.unparkAt(p.k.now + d)
+	p.k.atProc(p.k.now+d, p)
 	p.park()
 }

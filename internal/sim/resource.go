@@ -10,8 +10,6 @@ package sim
 // event kernel guarantees).
 type Resource struct {
 	freeAt Cycles
-	// busy accumulates total service time, for utilization reporting.
-	busy Cycles
 }
 
 // Reserve books dur cycles of service starting no earlier than now.
@@ -22,17 +20,8 @@ func (r *Resource) Reserve(now, dur Cycles) (done Cycles) {
 		start = r.freeAt
 	}
 	r.freeAt = start + dur
-	r.busy += dur
 	return r.freeAt
 }
 
 // FreeAt reports the current busy horizon.
 func (r *Resource) FreeAt() Cycles { return r.freeAt }
-
-// Busy reports the total service time booked so far.
-//
-//simlint:allow deadexport service-time probe the ring and xbar tests drive
-func (r *Resource) Busy() Cycles { return r.busy }
-
-// Reset clears the horizon and accumulated utilization.
-func (r *Resource) Reset() { r.freeAt, r.busy = 0, 0 }

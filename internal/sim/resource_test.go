@@ -10,8 +10,8 @@ func TestResourceIdleService(t *testing.T) {
 	if done := r.Reserve(100, 20); done != 120 {
 		t.Fatalf("idle reserve = %d, want 120", done)
 	}
-	if r.Busy() != 20 {
-		t.Fatalf("busy = %d", r.Busy())
+	if r.FreeAt() != 120 {
+		t.Fatalf("horizon = %d, want 120", r.FreeAt())
 	}
 }
 
@@ -35,32 +35,23 @@ func TestResourceIdleGap(t *testing.T) {
 	}
 }
 
-func TestResourceReset(t *testing.T) {
-	var r Resource
-	r.Reserve(0, 100)
-	r.Reset()
-	if r.FreeAt() != 0 || r.Busy() != 0 {
-		t.Fatal("reset should clear state")
-	}
-}
-
-// Property: completion time ≥ request time + service, and total busy
-// equals the sum of service durations.
+// Property: each request starts at max(arrival, previous completion),
+// so its completion is never before arrival plus service, and the
+// horizon is the last completion.
 func TestResourceAccounting(t *testing.T) {
 	prop := func(durs []uint8) bool {
 		var r Resource
-		now := Cycles(0)
-		var total Cycles
+		now, prev := Cycles(0), Cycles(0)
 		for _, d8 := range durs {
 			d := Cycles(d8)
 			done := r.Reserve(now, d)
-			if done < now+d {
+			if done != max(now, prev)+d || r.FreeAt() != done {
 				return false
 			}
-			total += d
+			prev = done
 			now += Cycles(d8 / 2) // requests arrive faster than service
 		}
-		return r.Busy() == total
+		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

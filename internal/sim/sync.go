@@ -2,7 +2,7 @@ package sim
 
 // Synchronization objects in virtual time. A Proc that waits parks; a
 // signaller schedules the waiter's resumption as an event at the current
-// instant (plus any modeled latency added by the caller). Object names
+// instant (any modeled latency is the caller's to add). Object names
 // label the model for its reader; the kernel keeps none.
 
 // waitq is a FIFO of parked Procs.
@@ -15,11 +15,10 @@ func (q *waitq) wait(p *Proc) {
 	p.park()
 }
 
-// wakeOne schedules the oldest waiter to resume at now+d.
-// It reports whether a waiter existed.
-func (q *waitq) wakeOne(k *Kernel, d Cycles) bool {
+// wakeOne schedules the oldest waiter, if any, to resume now.
+func (q *waitq) wakeOne() {
 	if len(q.waiters) == 0 {
-		return false
+		return
 	}
 	p := q.waiters[0]
 	// Shift down rather than reslice from the front, so the backing
@@ -27,30 +26,26 @@ func (q *waitq) wakeOne(k *Kernel, d Cycles) bool {
 	n := copy(q.waiters, q.waiters[1:])
 	q.waiters[n] = nil
 	q.waiters = q.waiters[:n]
-	p.unparkAt(k.now + d)
-	return true
+	p.unpark()
 }
 
-// wakeAll schedules every waiter to resume at now+d, in FIFO order.
-func (q *waitq) wakeAll(k *Kernel, d Cycles) int {
-	n := len(q.waiters)
+// wakeAll schedules every waiter to resume now, in FIFO order.
+func (q *waitq) wakeAll() {
 	for _, p := range q.waiters {
-		p.unparkAt(k.now + d)
+		p.unpark()
 	}
 	q.waiters = q.waiters[:0]
-	return n
 }
 
 // Semaphore is a counting semaphore in virtual time.
 type Semaphore struct {
-	k *Kernel
 	n int
 	q waitq
 }
 
 // NewSemaphore returns a semaphore with initial count n.
 func (k *Kernel) NewSemaphore(name string, n int) *Semaphore {
-	return &Semaphore{k: k, n: n}
+	return &Semaphore{n: n}
 }
 
 // P decrements the semaphore, parking the Proc while the count is zero.
@@ -64,20 +59,19 @@ func (s *Semaphore) P(p *Proc) {
 // V increments the semaphore and wakes one waiter, if any.
 func (s *Semaphore) V() {
 	s.n++
-	s.q.wakeOne(s.k, 0)
+	s.q.wakeOne()
 }
 
 // Event is a broadcast flag: Procs wait until it is set.
-// Once set it stays set until Reset.
+// Once set it stays set.
 type Event struct {
-	k   *Kernel
 	set bool
 	q   waitq
 }
 
 // NewEvent returns an unset event.
 func (k *Kernel) NewEvent(name string) *Event {
-	return &Event{k: k}
+	return &Event{}
 }
 
 // Wait parks until the event is set.
@@ -90,29 +84,25 @@ func (e *Event) Wait(p *Proc) {
 // Set sets the event and wakes all waiters.
 func (e *Event) Set() {
 	e.set = true
-	e.q.wakeAll(e.k, 0)
+	e.q.wakeAll()
 }
-
-// Reset clears the event.
-func (e *Event) Reset() { e.set = false }
 
 // Queue is an unbounded FIFO of values with blocking receive, the
 // simulated analogue of a channel.
 type Queue struct {
-	k     *Kernel
 	items []interface{}
 	q     waitq
 }
 
 // NewQueue returns an empty queue.
 func (k *Kernel) NewQueue(name string) *Queue {
-	return &Queue{k: k}
+	return &Queue{}
 }
 
 // Put appends v and wakes one receiver.
 func (q *Queue) Put(v interface{}) {
 	q.items = append(q.items, v)
-	q.q.wakeOne(q.k, 0)
+	q.q.wakeOne()
 }
 
 // Get removes and returns the oldest value, parking while empty.
@@ -127,7 +117,7 @@ func (q *Queue) Get(p *Proc) interface{} {
 	// If more items remain, pass the wakeup along so same-instant
 	// receivers drain the queue deterministically.
 	if len(q.items) > 0 {
-		q.q.wakeOne(q.k, 0)
+		q.q.wakeOne()
 	}
 	return v
 }

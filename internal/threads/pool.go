@@ -61,9 +61,6 @@ func NewPool(m *machine.Machine, n int, place Placement) *Pool {
 	return p
 }
 
-// Size reports the worker count.
-func (p *Pool) Size() int { return len(p.workers) }
-
 // Region runs body(th, tid) on every worker and blocks the caller until
 // all complete — a parallel region with pool semantics.
 func (p *Pool) Region(caller *machine.Thread, body func(th *machine.Thread, tid int)) {

@@ -23,9 +23,7 @@ type hooks struct {
 // Crossbar is one hypernode's switch.
 type Crossbar struct {
 	ports [topology.FUsPerNode + 1]sim.Resource // 4 FU ports + 1 I/O port
-	// transfers counts completed traversals for utilization reporting.
-	transfers int64
-	ctr       hooks
+	ctr   hooks
 }
 
 // AttachCounters mirrors traversals into the group: grants (port pairs
@@ -59,19 +57,10 @@ func (x *Crossbar) Traverse(now sim.Cycles, src, dst int, dur sim.Cycles) sim.Cy
 	}
 	x.ports[src].Reserve(start, dur)
 	x.ports[dst].Reserve(start, dur)
-	x.transfers++
 	x.ctr.grants.Inc()
 	if start > now {
 		x.ctr.conflicts.Inc()
 		x.ctr.conflictCycles.Add(int64(start - now))
 	}
 	return start + dur
-}
-
-// Reset clears all port horizons.
-func (x *Crossbar) Reset() {
-	for i := range x.ports {
-		x.ports[i].Reset()
-	}
-	x.transfers = 0
 }

@@ -3,7 +3,7 @@ package xbar
 import (
 	"testing"
 
-	"spp1000/internal/sim"
+	"spp1000/internal/counters"
 	"spp1000/internal/topology"
 )
 
@@ -38,11 +38,18 @@ func TestDisjointPortsOverlap(t *testing.T) {
 
 func TestSamePortNoOp(t *testing.T) {
 	x := New()
+	reg := counters.NewRegistry()
+	x.AttachCounters(reg.Group("xbar"))
 	if done := x.Traverse(5, 2, 2, 10); done != 15 {
 		t.Fatalf("same-port transfer = %d, want now+dur", done)
 	}
-	if x.Transfers() != 0 {
-		t.Fatal("same-port transfer should not book the switch")
+	if g := reg.Snapshot().Counter("xbar", "grants"); g != 0 {
+		t.Fatalf("same-port transfer booked the switch: grants = %d, want 0", g)
+	}
+	for i := range x.ports {
+		if f := x.ports[i].FreeAt(); f != 0 {
+			t.Fatalf("port %d horizon = %d, want 0", i, f)
+		}
 	}
 }
 
@@ -52,29 +59,10 @@ func TestIOPortUsable(t *testing.T) {
 	if done != 8 {
 		t.Fatalf("I/O port transfer = %d", done)
 	}
-	if x.PortBusy(IOPort) != 8 {
-		t.Fatalf("I/O port busy = %d, want 8", x.PortBusy(IOPort))
+	if f := x.ports[IOPort].FreeAt(); f != 8 {
+		t.Fatalf("I/O port horizon = %d, want 8", f)
 	}
-}
-
-func TestReset(t *testing.T) {
-	x := New()
-	x.Traverse(0, 0, 1, 100)
-	x.Reset()
-	if x.Traverse(0, 0, 1, 10) != 10 {
-		t.Fatal("reset should clear horizons")
-	}
-	if x.Transfers() != 1 {
-		t.Fatal("reset should clear the transfer count")
-	}
-	_ = sim.Cycles(0)
 }
 
 // IOPort is the port index of the I/O connection.
 const IOPort = topology.FUsPerNode
-
-// Transfers reports the number of traversals completed.
-func (x *Crossbar) Transfers() int64 { return x.transfers }
-
-// PortBusy reports the accumulated service time of a port.
-func (x *Crossbar) PortBusy(port int) sim.Cycles { return x.ports[port].Busy() }
