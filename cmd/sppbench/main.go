@@ -8,7 +8,7 @@
 //	sppbench -exp fig6,tab2      # a subset
 //	sppbench -quick              # reduced problem sizes (CI-friendly)
 //	sppbench -par 1              # serial (default: all host cores)
-//	sppbench -simpar 4           # partitioned-engine workers (1 = serial)
+//	sppbench -simpar 4           # at most 4 partitioned-engine workers (1 = serial)
 //	sppbench -exp all -counters  # append per-component PMU counter tables
 //	sppbench -exp all -checkpoint run.ckpt
 //	                             # checkpoint after every experiment
@@ -17,8 +17,10 @@
 // Every sweep point is an independent deterministic simulation, so the
 // experiments fan out across host cores through internal/runner; the
 // output is byte-identical for any -par value. -simpar independently
-// sets how many goroutines execute the hypernode partitions *inside*
-// one simulation on the PDES engine (internal/parsim); output is
+// sets the most goroutines that execute the hypernode partitions
+// *inside* one simulation on the PDES engine (internal/parsim), which
+// hands a window to them only when windows carry enough events to pay
+// for the handoff; output is
 // byte-identical for any -simpar value too. A checkpointed run killed
 // at any boundary and resumed prints byte-identical output as well —
 // the resume-exactness guarantee that TestCheckpointKillAtEveryBoundary
@@ -45,7 +47,7 @@ func main() {
 	quick := flag.Bool("quick", false, "reduced problem sizes")
 	jsonOut := flag.Bool("json", false, "emit the paper artifacts as structured JSON instead of text")
 	par := flag.Int("par", 0, "host workers for independent simulations (0 = all cores, 1 = serial)")
-	simpar := flag.Int("simpar", 0, "host workers for hypernode partitions inside one PDES simulation (0 or 1 = serial)")
+	simpar := flag.Int("simpar", 0, "most host workers for hypernode partitions inside one PDES simulation (0 or 1 = serial)")
 	withCounters := flag.Bool("counters", false, "append a per-component PMU counter breakdown to every experiment")
 	checkpoint := flag.String("checkpoint", "", "checkpoint file: save resumable progress at experiment boundaries")
 	resume := flag.String("resume", "", "resume from this checkpoint file (keeps checkpointing to it unless -checkpoint names another)")
