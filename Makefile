@@ -104,7 +104,7 @@ faultmatrix:
 # The checkpoint/resume gate, under the race detector: checkpoint
 # round-trips and rejection of malformed, corrupt and retired-format
 # checkpoints, the kill-at-every-boundary resume-exactness sweep
-# (byte-identical output at -simpar 1/2/4), and the service's
+# (byte-identical output, scalepar's PDES engine included), and the service's
 # checkpointed-job lifecycle. Then sppbench's checkpoint file end to
 # end: a -checkpoint run, a -resume of the completed file, and a -resume
 # of a copy with one payload byte flipped (which must print the corrupt
@@ -128,11 +128,11 @@ checkpoint:
 	echo 'sppbench -checkpoint/-resume: byte-identical to a plain run; bit-flipped checkpoint deleted'
 
 # The partitioned-engine gate: the parsim coordinator unit tests and
-# the serial-vs-PDES golden-equality suite (every experiment at
-# -simpar 1/2/4, byte-identical), all under the race detector.
+# the scalepar golden (the PDES engine's output, byte for byte), both
+# under the race detector.
 pdes:
 	$(GO) test -race ./internal/parsim
-	$(GO) test -race -run 'TestPDES' ./internal/experiments
+	$(GO) test -race -run 'TestGoldenOutputs/scalepar' ./internal/experiments
 
 # The sharded-cluster gate: ring placement properties, membership and
 # merged metrics, and the gateway-plus-backends end-to-end suite (a

@@ -16,7 +16,6 @@ import (
 	"spp1000/internal/experiments"
 	"spp1000/internal/load"
 	"spp1000/internal/microbench"
-	"spp1000/internal/parsim"
 	"spp1000/internal/sim"
 )
 
@@ -139,12 +138,10 @@ func BenchmarkFig6PIC128(b *testing.B) {
 	b.ReportMetric(r.Mflops, "sim-Mflops-128cpu")
 }
 
-// benchPIC128PDES is BenchmarkFig6PIC128 on the hypernode-partitioned
-// engine at a fixed -simpar worker count.
-func benchPIC128PDES(b *testing.B, workers int) {
+// BenchmarkFig6PIC128PDES1 is BenchmarkFig6PIC128 on the
+// hypernode-partitioned engine, whose windows run inline.
+func BenchmarkFig6PIC128PDES1(b *testing.B) {
 	o := opts(b)
-	parsim.SetWorkers(workers)
-	defer parsim.SetWorkers(0)
 	ev0 := sim.TotalEvents()
 	var r pic.Result
 	for i := 0; i < b.N; i++ {
@@ -157,12 +154,6 @@ func benchPIC128PDES(b *testing.B, workers int) {
 	reportEventRate(b, sim.TotalEvents()-ev0)
 	b.ReportMetric(r.Mflops, "sim-Mflops-128cpu")
 }
-
-// BenchmarkFig6PIC128PDES1 is the partitioned PIC at -simpar 1.
-func BenchmarkFig6PIC128PDES1(b *testing.B) { benchPIC128PDES(b, 1) }
-
-// BenchmarkFig6PIC128PDES2 is the partitioned PIC at -simpar 2.
-func BenchmarkFig6PIC128PDES2(b *testing.B) { benchPIC128PDES(b, 2) }
 
 // BenchmarkFig7FEM128 times the FEM large grid on the full 128-CPU
 // machine on the monolithic serial engine (see BenchmarkFig6PIC128).
@@ -181,12 +172,10 @@ func BenchmarkFig7FEM128(b *testing.B) {
 	b.ReportMetric(r.UsefulMflops, "sim-useful-Mflops-128cpu")
 }
 
-// benchFEM128PDES is BenchmarkFig7FEM128 on the hypernode-partitioned
-// engine at a fixed -simpar worker count.
-func benchFEM128PDES(b *testing.B, workers int) {
+// BenchmarkFig7FEM128PDES1 is BenchmarkFig7FEM128 on the
+// hypernode-partitioned engine, whose windows run inline.
+func BenchmarkFig7FEM128PDES1(b *testing.B) {
 	o := opts(b)
-	parsim.SetWorkers(workers)
-	defer parsim.SetWorkers(0)
 	ev0 := sim.TotalEvents()
 	var r fem.Result
 	for i := 0; i < b.N; i++ {
@@ -199,12 +188,6 @@ func benchFEM128PDES(b *testing.B, workers int) {
 	reportEventRate(b, sim.TotalEvents()-ev0)
 	b.ReportMetric(r.UsefulMflops, "sim-useful-Mflops-128cpu")
 }
-
-// BenchmarkFig7FEM128PDES1 is the partitioned FEM at -simpar 1.
-func BenchmarkFig7FEM128PDES1(b *testing.B) { benchFEM128PDES(b, 1) }
-
-// BenchmarkFig7FEM128PDES2 is the partitioned FEM at -simpar 2.
-func BenchmarkFig7FEM128PDES2(b *testing.B) { benchFEM128PDES(b, 2) }
 
 // BenchmarkFig8NBody regenerates Figure 8 (32K and 256K particles; run
 // cmd/sppbench for the full 2M-particle sweep).

@@ -120,11 +120,15 @@ func physFlux(rho, u, v, p float64) [NVars]float64 {
 	}
 }
 
+// edge is one limited parabola edge value of every primitive.
+type edge struct{ rho, u, v, p float64 }
+
 // Pencil is the scratch for one 1-D sweep over n cells (with ghosts).
 type Pencil struct {
 	Rho, U, V, P []float64 // primitives
 	FL           [][NVars]float64
 	cons         [][NVars]float64
+	left, right  []edge // per-cell limited edges, Sweep scratch
 }
 
 // NewPencil allocates scratch for pencils of length n.
@@ -134,6 +138,7 @@ func NewPencil(n int) *Pencil {
 		V: make([]float64, n), P: make([]float64, n),
 		FL:   make([][NVars]float64, n+1),
 		cons: make([][NVars]float64, n),
+		left: make([]edge, n), right: make([]edge, n),
 	}
 }
 
@@ -145,11 +150,9 @@ func (pc *Pencil) Sweep(lo, hi int, dtdx float64) {
 	// Reconstruct interface states: for each interface i+1/2 in
 	// [lo-1, hi], the left state is cell i's right edge and the right
 	// state is cell i+1's left edge.
-	type edge struct{ rho, u, v, p float64 }
 	// Compute limited edges for cells [lo-1, hi].
 	nCells := hi - lo + 2
-	left := make([]edge, nCells)
-	right := make([]edge, nCells)
+	left, right := pc.left[:nCells], pc.right[:nCells]
 	for c := 0; c < nCells; c++ {
 		i := lo - 1 + c
 		rL, rR := ppmFaces(pc.Rho[i-2], pc.Rho[i-1], pc.Rho[i], pc.Rho[i+1], pc.Rho[i+2])

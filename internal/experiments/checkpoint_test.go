@@ -4,63 +4,54 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 
-	"spp1000/internal/parsim"
 	"spp1000/internal/snapshot"
 )
 
 // TestCheckpointKillAtEveryBoundary is the resume-exactness gate: a
 // run killed at ANY checkpoint boundary and resumed must produce
-// byte-identical outputs versus an uninterrupted run — at -simpar 1, 2,
-// and 4, under -race (`make checkpoint` / `make faultmatrix`). The
-// final-checkpoint byte equality is the strongest form: spec key, suite
-// and every rendered output live inside the encoding, so one
-// bytes.Equal covers the whole record.
+// byte-identical outputs versus an uninterrupted run, under -race
+// (`make checkpoint` / `make faultmatrix`). The final-checkpoint byte
+// equality is the strongest form: spec key, suite and every rendered
+// output live inside the encoding, so one bytes.Equal covers the whole
+// record.
 func TestCheckpointKillAtEveryBoundary(t *testing.T) {
 	o := Quick()
 	names := []string{"fig2", "tab1", "scalepar"} // scalepar exercises the PDES engine
 
-	for _, workers := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("simpar%d", workers), func(t *testing.T) {
-			parsim.SetWorkers(workers)
-			defer parsim.SetWorkers(0)
-
-			// Uninterrupted reference, recording the checkpoint bytes at
-			// every boundary — these are the states a kill could leave.
-			var boundaries [][]byte
-			refOuts, refFinal, err := RunCheckpointed(context.Background(), names, o, nil,
-				func(c *snapshot.Checkpoint) error {
-					boundaries = append(boundaries, c.Encode())
-					return nil
-				})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(boundaries) != len(names) {
-				t.Fatalf("%d boundary checkpoints for %d experiments", len(boundaries), len(names))
-			}
-			refBytes := refFinal.Encode()
-
-			for b, raw := range boundaries {
-				prior, err := snapshot.DecodeCheckpoint(raw)
-				if err != nil {
-					t.Fatalf("boundary %d: %v", b, err)
-				}
-				outs, final, err := RunCheckpointed(context.Background(), names, o, prior, nil)
-				if err != nil {
-					t.Fatalf("resume from boundary %d: %v", b, err)
-				}
-				if got, want := strings.Join(outs, "\x00"), strings.Join(refOuts, "\x00"); got != want {
-					t.Fatalf("boundary %d: resumed outputs diverge from the uninterrupted run", b)
-				}
-				if !bytes.Equal(final.Encode(), refBytes) {
-					t.Fatalf("boundary %d: resumed final checkpoint is not byte-identical to the uninterrupted run's", b)
-				}
-			}
+	// Uninterrupted reference, recording the checkpoint bytes at every
+	// boundary — these are the states a kill could leave.
+	var boundaries [][]byte
+	refOuts, refFinal, err := RunCheckpointed(context.Background(), names, o, nil,
+		func(c *snapshot.Checkpoint) error {
+			boundaries = append(boundaries, c.Encode())
+			return nil
 		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(boundaries) != len(names) {
+		t.Fatalf("%d boundary checkpoints for %d experiments", len(boundaries), len(names))
+	}
+	refBytes := refFinal.Encode()
+
+	for b, raw := range boundaries {
+		prior, err := snapshot.DecodeCheckpoint(raw)
+		if err != nil {
+			t.Fatalf("boundary %d: %v", b, err)
+		}
+		outs, final, err := RunCheckpointed(context.Background(), names, o, prior, nil)
+		if err != nil {
+			t.Fatalf("resume from boundary %d: %v", b, err)
+		}
+		if got, want := strings.Join(outs, "\x00"), strings.Join(refOuts, "\x00"); got != want {
+			t.Fatalf("boundary %d: resumed outputs diverge from the uninterrupted run", b)
+		}
+		if !bytes.Equal(final.Encode(), refBytes) {
+			t.Fatalf("boundary %d: resumed final checkpoint is not byte-identical to the uninterrupted run's", b)
+		}
 	}
 }
 

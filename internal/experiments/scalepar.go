@@ -15,10 +15,9 @@ import (
 // ScalePar sweeps the hypernode-partitioned (PDES) engine up to the
 // full 128-CPU machine the paper's authors did not have: the PIC shared
 // variant and the FEM gather-scatter coding, both on one share-nothing
-// kernel per hypernode (internal/parsim). Every point is byte-identical
-// at every -simpar worker count — that invariant is what the golden
-// suite pins — so the rendering carries no host-side figures, only
-// simulated results.
+// kernel per hypernode (internal/parsim). The rendering carries no
+// host-side figures, only simulated results, so the golden suite pins
+// it byte for byte.
 func ScalePar(ctx context.Context, o Options) (string, error) {
 	procs := []int{8, 16, 32, 64, 128}
 	type point struct {

@@ -22,13 +22,6 @@ const (
 	// ClassSimCore packages execute inside, or render the output of, the
 	// deterministic simulation. Every analyzer applies in full.
 	ClassSimCore
-	// ClassPDES packages coordinate concurrent execution of sim-core
-	// kernels (the parallel-discrete-event layer). Goroutines and
-	// channels are their reason to exist, so the no-goroutine rule does
-	// not apply — but their scheduling decisions feed simulator output,
-	// so the other determinism invariants (no wall-clock reads, no
-	// math/rand, no map iteration) bind exactly as in sim-core.
-	ClassPDES
 )
 
 // String names the class for diagnostics and docs.
@@ -38,8 +31,6 @@ func (c Class) String() string {
 		return "host"
 	case ClassSimCore:
 		return "sim-core"
-	case ClassPDES:
-		return "pdes"
 	default:
 		return "exempt"
 	}
@@ -74,13 +65,6 @@ var SimCorePackages = []string{
 	"internal/microbench",
 	"internal/trace",
 	"internal/snapshot",
-}
-
-// PDESPackages lists the module-relative import paths (each covering
-// its subtree) classified ClassPDES: the coordinator layer that runs
-// sim-core kernels on concurrent goroutines while keeping their output
-// byte-identical.
-var PDESPackages = []string{
 	"internal/parsim",
 }
 
@@ -140,8 +124,8 @@ var RequiredHotpaths = map[string][]string{
 	// The counters-disabled path: a nil-receiver branch and nothing
 	// else (PR 3's 0-alloc contract).
 	"internal/counters": {"Counter.Inc", "Counter.Add", "Histogram.Observe"},
-	// The PDES stripe worker body: runs once per partition per window.
-	"internal/parsim": {"Coordinator.runPart"},
+	// The PDES partition step: runs once per partition per window.
+	"internal/parsim": {"Partition.run"},
 	// The N-body tree code's force traversal and insert descent: the
 	// paper's §5.3 inner loops, and the bulk of a paper-scale suite's
 	// host time.
@@ -219,11 +203,6 @@ func Classify(pkgPath string) Class {
 	for _, p := range SimCorePackages {
 		if rel == p || strings.HasPrefix(rel, p+"/") {
 			return ClassSimCore
-		}
-	}
-	for _, p := range PDESPackages {
-		if rel == p || strings.HasPrefix(rel, p+"/") {
-			return ClassPDES
 		}
 	}
 	for _, p := range HostPackages {

@@ -21,16 +21,13 @@ var wallClockFuncs = map[string]bool{
 // randomizes the order, so ranges that feed simulator state or output
 // must sort first or justify themselves), and goroutine spawns (host
 // concurrency belongs in internal/runner; the kernel's Procs are
-// iter.Pull coroutines and need no exception). In pdes packages —
-// the coordinator layer whose whole purpose is running kernels on
-// goroutines — the goroutine ban is lifted, but the wall-clock,
-// math/rand, and map-iteration checks bind unchanged: the coordinator's
-// scheduling decisions feed simulator output. In host packages only the
-// wall-clock check applies, so every legitimate host-side clock read
+// iter.Pull coroutines and need no exception, and the PDES coordinator
+// runs its partitions inline). In host packages only the wall-clock
+// check applies, so every legitimate host-side clock read
 // carries a visible //simlint:allow justification.
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc:  "forbid wall-clock reads, math/rand, map iteration, and goroutine spawns in sim-core packages (goroutines permitted in pdes packages; wall-clock reads also flagged in host packages)",
+	Doc:  "forbid wall-clock reads, math/rand, map iteration, and goroutine spawns in sim-core packages (wall-clock reads also flagged in host packages)",
 	Run:  runDeterminism,
 }
 
@@ -48,7 +45,7 @@ func runDeterminism(pass *Pass) error {
 					pass.Reportf(n.Pos(), "goroutine spawned in sim-core package: host concurrency belongs in internal/runner")
 				}
 			case *ast.RangeStmt:
-				if class == ClassSimCore || class == ClassPDES {
+				if class == ClassSimCore {
 					if t := info.TypeOf(n.X); t != nil {
 						if _, ok := t.Underlying().(*types.Map); ok {
 							pass.Reportf(n.Pos(), "map iteration order is nondeterministic: sort the keys first, or annotate why order cannot reach simulator state or output")
@@ -67,7 +64,7 @@ func runDeterminism(pass *Pass) error {
 						pass.Reportf(n.Pos(), "wall-clock call time.%s: simulated time is sim.Cycles; host code must annotate its clock reads", fn.Name())
 					}
 				case "math/rand", "math/rand/v2":
-					if class == ClassSimCore || class == ClassPDES {
+					if class == ClassSimCore {
 						pass.Reportf(n.Pos(), "math/rand in %s package: draw from the seeded internal/rng stream so results survive Go releases", class)
 					}
 				}

@@ -9,9 +9,8 @@ import (
 	"strings"
 )
 
-// LockOrder builds an interprocedural lock graph over the host-class and
-// PDES packages — the only classes allowed to hold sync.Mutex/RWMutex at
-// all — and fails on cycles. An edge A→B means "B was acquired while A
+// LockOrder builds an interprocedural lock graph over the host-class
+// packages — the concurrent ones — and fails on cycles. An edge A→B means "B was acquired while A
 // was held", either directly in one function body or through a call
 // chain (the analyzer propagates each function's may-acquire set to its
 // callers with a fixpoint, so Submit holding s.mu and calling into a
@@ -34,7 +33,7 @@ import (
 // writer.
 var LockOrder = &Analyzer{
 	Name:      "lockorder",
-	Doc:       "build the interprocedural sync.Mutex/RWMutex acquisition graph over host and pdes packages and fail on lock-order cycles",
+	Doc:       "build the interprocedural sync.Mutex/RWMutex acquisition graph over host packages and fail on lock-order cycles",
 	RunModule: runLockOrder,
 }
 
@@ -78,7 +77,7 @@ func runLockOrder(mp *ModulePass) error {
 		keys = append(keys, lf.key)
 	}
 	for _, pkg := range mp.Pkgs {
-		if pkg.Class != ClassHost && pkg.Class != ClassPDES {
+		if pkg.Class != ClassHost {
 			continue
 		}
 		for _, f := range pkg.Files {

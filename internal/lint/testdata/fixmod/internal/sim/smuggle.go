@@ -1,8 +1,7 @@
 package sim
 
-// RunPartitions tries to smuggle PDES-style worker goroutines into the
-// kernel itself: the pdes class exemption is per-package, so sim-core
-// still fails.
+// RunPartitions tries to smuggle partition worker goroutines into the
+// kernel itself: sim-core bans goroutines, so it fails.
 func RunPartitions(parts []func()) {
 	done := make(chan struct{}, len(parts))
 	for _, p := range parts {

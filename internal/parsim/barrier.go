@@ -32,16 +32,15 @@ import (
 // re-supply arithmetic) but the per-node chains running in parallel.
 // That per-node fan-out is the hierarchical release a 16-hypernode
 // machine needs — and it is also what keeps the partitions
-// phase-aligned, so the post-barrier compute executes concurrently
-// across host workers. Release schedules travel back as one message per
+// phase-aligned, so the post-barrier compute of every node falls in the
+// same windows. Release schedules travel back as one message per
 // remote node at the shared base, which is at least one lookahead out
 // (the slowest downlink is at minimum a full ring crossing).
 //
 // All combiner state lives on hypernode 0 and is mutated only by events
 // executing on that node's kernel; node-local state is mutated only by
-// its own node's events. That discipline — not locks — is what makes
-// the barrier safe under concurrent window execution and byte-identical
-// at every worker count.
+// its own node's events. That discipline is what keeps the partitions
+// share-nothing within a window.
 type ClusterBarrier struct {
 	c     *Cluster
 	nodes []*nodeBarrier

@@ -17,9 +17,8 @@ import (
 // machine owns its caches, directories, rings, banks, and threads;
 // everything that crosses a hypernode boundary — thread dispatch, join
 // notification, barrier traffic — travels as timestamped partition
-// messages. That structure is what makes the partitions safe to run on
-// concurrent host goroutines with byte-identical output at any worker
-// count: within a window no partition can observe another.
+// messages. That structure is what lets each partition run its window
+// on its own: within a window no partition can observe another.
 type Cluster struct {
 	// Coord drives the partitions (Coordinator.Run is called by Run).
 	Coord *Coordinator

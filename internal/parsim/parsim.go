@@ -1,19 +1,17 @@
 // Package parsim is the conservative parallel-discrete-event (PDES)
 // coordinator: it drives several share-nothing sim.Kernel partitions —
-// one per simulated hypernode — in lookahead-synchronized time windows,
-// on concurrent host goroutines when a window carries enough work to pay
-// for handing it to them.
+// one per simulated hypernode — in lookahead-synchronized time windows.
 //
 // The SPP-1000's physical hierarchy supplies the lookahead: every
 // modeled interaction that crosses a hypernode boundary pays at least
 // the crossbar leg, the fixed SCI packet handling, and one ring hop
 // (topology.Params.InterNodeLookahead). Within a window of that width a
-// partition cannot affect any other partition, so all partitions may
-// execute their local events concurrently. Cross-partition interactions
-// are buffered as timestamped messages and delivered at window
-// boundaries in a deterministic merge order — (At, source partition,
-// source sequence), mirroring the trace-record tie-breaking — so the
-// simulation's output is byte-identical at every worker count.
+// partition cannot affect any other partition, so each partition
+// executes its window's local events without looking at the others.
+// Cross-partition interactions are buffered as timestamped messages and
+// delivered at window boundaries in a deterministic merge order — (At,
+// source partition, source sequence), mirroring the trace-record
+// tie-breaking.
 //
 // The window protocol each round is:
 //
@@ -30,10 +28,8 @@
 //     short). A partition that is the only one holding events has no
 //     horizon and drains its whole queue; a partition whose next event
 //     lies beyond its horizon sits the round out;
-//  4. run the runnable partitions — on the worker goroutines when
-//     workers are configured, more than one partition is runnable and
-//     the previous round executed at least handoffGrain events; inline,
-//     in index order, otherwise (always in the first round);
+//  4. run the runnable partitions, in index order, on the calling
+//     goroutine;
 //  5. repeat until every queue is drained, then surface any per-kernel
 //     deadlock diagnostics.
 //
@@ -45,58 +41,26 @@
 // holding the globally earliest event always has E ≤ its horizon, so
 // every round executes at least one event.
 //
-// parsim is the one package allowed to spawn goroutines around live
-// kernels (simlint class "pdes"); the kernels and device models it
-// drives stay goroutine-free sim-core.
+// Rounds carry few events — the 128-CPU PIC and FEM runs execute 32–34
+// per round — so handing a round's partitions to host goroutines costs
+// more than it saves; parsim is goroutine-free sim-core like the kernels
+// it drives.
 package parsim
 
 import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"spp1000/internal/sim"
 )
 
-// workers is the configured window-execution width; 0 (the default)
-// means serial.
-var workers atomic.Int64
-
-// SetWorkers fixes the most host goroutines that execute partitions
-// within a window. n <= 1 (and the default) is serial: partitions run in
-// index order on the calling goroutine, which is also the reference
-// order every parallel execution must — and by construction does —
-// reproduce byte-identically. With n > 1 a window still runs inline
-// unless more than one partition is runnable and the previous window
-// executed at least handoffGrain events: a handoff costs channel
-// operations and a goroutine wake-up, which a window of a few events per
-// partition does not repay. Wired to sppbench's -simpar flag the way
-// -par wires runner.SetWorkers.
-func SetWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	workers.Store(int64(n))
-}
-
-// handoffGrain is the fewest events a round must execute for Run to hand
-// the next round to the worker goroutines (see the package doc, step 4).
-// It is the break-even of BenchmarkPDESRound/heavy on a 2-vCPU x86-64
-// host (Go 1.24): with 16 partitions, two workers drew level with one at
-// about 540 events per round (≈110 µs per round either way) and first
-// ran ahead at about 1090 (≈185 µs against ≈200 µs). The 128-CPU PIC and
-// FEM runs execute 32–34 events per round, so they run inline.
-const handoffGrain = 1024
-
-// Workers reports the effective width (1 = serial).
-func Workers() int {
-	if n := workers.Load(); n > 1 {
-		return int(n)
-	}
-	return 1
-}
+// SetWorkers accepts a PDES worker count and has no effect: windows
+// always run inline, in partition index order, because a round carries
+// a few dozen events, too few for a handoff to host goroutines to repay
+// its channel operations and wake-ups. It stays because the perfbench
+// harness still calls it.
+func SetWorkers(int) {}
 
 // Msg is one buffered cross-partition interaction: Fn runs on the
 // destination partition's kernel at virtual time At.
@@ -164,18 +128,7 @@ type Coordinator struct {
 	lookahead sim.Cycles
 	parts     []*Partition
 	rounds    int64
-	handoffs  int64 // rounds handed to the workers (read by tests)
-	grain     int64 // handoff threshold: handoffGrain, lowered only by tests
-
-	// Per-round state. The coordinator goroutine writes these between
-	// rounds; workers read them after the jobs-channel send (the channel
-	// operations order the accesses).
-	ends     []sim.Cycles // per-partition horizon (drainAll = unbounded)
-	nexts    []sim.Cycles // per-partition next-event snapshot
-	has      []bool       // whether nexts[i] is valid
-	runnable []int        // partitions executing this round
-	width    int          // worker stripe stride for the current Run
-	msgs     []Msg        // deliver scratch
+	msgs      []Msg // deliver scratch
 }
 
 // New builds a coordinator over the given kernels (one partition each,
@@ -187,7 +140,7 @@ func New(lookahead sim.Cycles, kernels []*sim.Kernel) (*Coordinator, error) {
 	if len(kernels) < 1 {
 		return nil, fmt.Errorf("parsim: need at least one kernel")
 	}
-	c := &Coordinator{lookahead: lookahead, grain: handoffGrain}
+	c := &Coordinator{lookahead: lookahead}
 	for i, k := range kernels {
 		if k == nil {
 			return nil, fmt.Errorf("parsim: kernel %d is nil", i)
@@ -209,53 +162,20 @@ func (c *Coordinator) Rounds() int64 { return c.rounds }
 // horizon, repeat until all queues drain. It returns the first
 // lookahead violation, causality error, or per-partition deadlock (live
 // procs with nothing scheduled), checked in deterministic partition
-// order. Any worker goroutines it started have exited when it returns.
+// order.
 func (c *Coordinator) Run() error {
-	w := min(Workers(), len(c.parts))
-	n := len(c.parts)
-	if c.ends == nil {
-		c.ends = make([]sim.Cycles, n)
-		c.nexts = make([]sim.Cycles, n)
-		c.has = make([]bool, n)
-		c.runnable = make([]int, 0, n)
-	}
-	c.width = w
-	// Persistent window workers, started on the first round that hands
-	// off: spawning goroutines per window would dominate the rounds, so
-	// w−1 workers live for the rest of the run and the coordinator
-	// goroutine executes stripe 0 itself instead of parking — 2(w−1)
-	// channel operations per handed-off round, independent of the
-	// partition count. Worker/coordinator g runs runnable[g],
-	// runnable[g+w], ….
-	var jobs chan int
-	var done chan struct{}
-	var wg sync.WaitGroup
-	defer func() {
-		if jobs != nil {
-			close(jobs)
-			wg.Wait()
-		}
-	}()
-	var last int64 // events the previous round executed
-
 	for {
 		if err := c.deliver(); err != nil {
 			return err
 		}
-		// Snapshot per-partition next-event times; track the earliest two
-		// (with ties landing in min2) for the horizon computation.
-		any := false
+		// Find the earliest two next-event times (with ties landing in
+		// min2) for the horizon computation.
 		var min1, min2 sim.Cycles
 		i1, hasMin2 := -1, false
 		for i, p := range c.parts {
 			at, ok := p.K.NextEventAt()
-			c.has[i] = ok
-			if !ok {
-				continue
-			}
-			c.nexts[i] = at
-			any = true
 			switch {
+			case !ok:
 			case i1 < 0:
 				min1, i1 = at, i
 			case at < min1:
@@ -265,7 +185,7 @@ func (c *Coordinator) Run() error {
 				min2, hasMin2 = at, true
 			}
 		}
-		if !any {
+		if i1 < 0 {
 			break
 		}
 		// Each partition's horizon is the earliest event of any *other*
@@ -273,9 +193,13 @@ func (c *Coordinator) Run() error {
 		// this round can land below that (half-open: a message may land
 		// at exactly E + lookahead, so stop one cycle short). The sole
 		// holder of events has no horizon and drains until it emits.
-		runnable := c.runnable[:0]
-		for i := range c.parts {
-			if !c.has[i] {
+		// Running a partition only fills its own kernel and outbox, so
+		// the partitions after it still see the next-event times the
+		// horizons were computed from.
+		c.rounds++
+		for i, p := range c.parts {
+			at, ok := p.K.NextEventAt()
+			if !ok {
 				continue
 			}
 			var end sim.Cycles
@@ -287,60 +211,10 @@ func (c *Coordinator) Run() error {
 			default:
 				end = min1 + c.lookahead - 1
 			}
-			if end != drainAll && c.nexts[i] > end {
+			if end != drainAll && at > end {
 				continue // nothing executable below the horizon this round
 			}
-			c.ends[i] = end
-			runnable = append(runnable, i)
-		}
-		c.runnable = runnable
-		c.rounds++
-		var before int64
-		for _, i := range runnable {
-			before += c.parts[i].K.EventsProcessed()
-		}
-		// Hand the round to the workers only when the last one carried
-		// enough events to pay for the handoff; the next round's work is
-		// not known before it runs, and consecutive rounds have similar
-		// grain.
-		if w > 1 && len(runnable) > 1 && last >= c.grain {
-			if jobs == nil {
-				// Sized to one round's sends, so neither side blocks on a
-				// full buffer.
-				jobs = make(chan int, w)
-				done = make(chan struct{}, w)
-				for g := 1; g < w; g++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						for g := range jobs {
-							for k := g; k < len(c.runnable); k += c.width {
-								c.runPart(c.runnable[k])
-							}
-							done <- struct{}{}
-						}
-					}()
-				}
-			}
-			c.handoffs++
-			m := min(w, len(runnable)) // higher stripes are empty
-			for g := 1; g < m; g++ {
-				jobs <- g
-			}
-			for k := 0; k < len(runnable); k += w {
-				c.runPart(runnable[k]) // stripe 0, on this goroutine
-			}
-			for g := 1; g < m; g++ {
-				<-done
-			}
-		} else {
-			for _, i := range runnable {
-				c.runPart(i)
-			}
-		}
-		last = -before
-		for _, i := range runnable {
-			last += c.parts[i].K.EventsProcessed()
+			p.run(end)
 		}
 		for _, p := range c.parts {
 			if p.err != nil {
@@ -359,14 +233,13 @@ func (c *Coordinator) Run() error {
 	return nil
 }
 
-// runPart advances partition i through its share of the round: to its
-// horizon, or — for the sole holder of events — batch by batch until
-// its queue empties or it first posts a cross-partition message.
+// run advances the partition through its share of the round: to its
+// horizon end, or — for the sole holder of events (end == drainAll) —
+// batch by batch until its queue empties or it first posts a
+// cross-partition message.
 //
 //simlint:hotpath
-func (c *Coordinator) runPart(i int) {
-	p := c.parts[i]
-	end := c.ends[i]
+func (p *Partition) run(end sim.Cycles) {
 	if end == drainAll {
 		for len(p.outbox) == 0 {
 			at, ok := p.K.NextEventAt()

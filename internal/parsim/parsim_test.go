@@ -33,16 +33,6 @@ func collect(fn func()) counters.Snapshot {
 	return coll.Snapshot()
 }
 
-// withWorkers runs fn at each width and restores the serial default.
-func withWorkers(t *testing.T, widths []int, fn func(w int)) {
-	t.Helper()
-	defer SetWorkers(0)
-	for _, w := range widths {
-		SetWorkers(w)
-		fn(w)
-	}
-}
-
 // TestWindowBoundaryMessage pins the off-by-one edge that breaks
 // conservative PDES: a message posted at exactly now + lookahead must
 // be delivered before the destination executes that instant. With a
@@ -75,15 +65,13 @@ func TestWindowBoundaryMessage(t *testing.T) {
 		return strings.Join(log, " "), nil
 	}
 	want := "k1-before@104 k1-same-instant@105 msg@105 k1-after@106"
-	withWorkers(t, []int{1, 2}, func(w int) {
-		got, err := run()
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if got != want {
-			t.Fatalf("workers=%d: order %q, want %q", w, got, want)
-		}
-	})
+	got, err := run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("order %q, want %q", got, want)
+	}
 }
 
 // TestPostInsideLookaheadFails proves the conservative invariant is
@@ -104,7 +92,7 @@ func TestPostInsideLookaheadFails(t *testing.T) {
 }
 
 // TestCoordinatorDeterminism round-trips messages among four partitions
-// and requires the byte-identical event order at every worker count.
+// and requires two runs to execute the byte-identical event order.
 func TestCoordinatorDeterminism(t *testing.T) {
 	const (
 		n         = 4
@@ -145,29 +133,22 @@ func TestCoordinatorDeterminism(t *testing.T) {
 		}
 		return strings.Join(all, " "), eventsProcessed(c)
 	}
-	var base string
-	var baseEvents int64
-	withWorkers(t, []int{1, 2, 4}, func(w int) {
-		got, events := run()
-		if w == 1 {
-			base, baseEvents = got, events
-			return
-		}
-		if got != base {
-			t.Fatalf("workers=%d: log diverged from serial", w)
-		}
-		if events != baseEvents {
-			t.Fatalf("workers=%d: %d events, serial executed %d", w, events, baseEvents)
-		}
-	})
+	base, baseEvents := run()
+	got, events := run()
+	if got != base {
+		t.Fatal("log diverged between two runs")
+	}
+	if events != baseEvents {
+		t.Fatalf("%d events, first run executed %d", events, baseEvents)
+	}
 	if baseEvents == 0 {
 		t.Fatal("no events executed")
 	}
 }
 
 // TestClusterTeamDeterminism runs a cross-hypernode fork/join with a
-// cluster barrier and requires identical elapsed time, per-partition
-// event counts, and merged counters at every worker count.
+// cluster barrier twice and requires identical elapsed time,
+// per-partition event counts, and merged counters.
 func TestClusterTeamDeterminism(t *testing.T) {
 	const procs = 32 // 4 hypernodes
 	run := func() (sim.Cycles, string, string) {
@@ -201,27 +182,20 @@ func TestClusterTeamDeterminism(t *testing.T) {
 		}
 		return elapsed, strings.Join(ev, " "), snap.Render("counters")
 	}
-	var baseElapsed sim.Cycles
-	var baseEvents, baseCounters string
-	withWorkers(t, []int{1, 2, 4}, func(w int) {
-		elapsed, events, ctrs := run()
-		if w == 1 {
-			baseElapsed, baseEvents, baseCounters = elapsed, events, ctrs
-			if elapsed <= 0 {
-				t.Fatalf("elapsed = %v, want > 0", elapsed)
-			}
-			return
-		}
-		if elapsed != baseElapsed {
-			t.Fatalf("workers=%d: elapsed %v, serial %v", w, elapsed, baseElapsed)
-		}
-		if events != baseEvents {
-			t.Fatalf("workers=%d: events %q, serial %q", w, events, baseEvents)
-		}
-		if ctrs != baseCounters {
-			t.Fatalf("workers=%d: counters diverged from serial", w)
-		}
-	})
+	baseElapsed, baseEvents, baseCounters := run()
+	if baseElapsed <= 0 {
+		t.Fatalf("elapsed = %v, want > 0", baseElapsed)
+	}
+	elapsed, events, ctrs := run()
+	if elapsed != baseElapsed {
+		t.Fatalf("elapsed %v, first run %v", elapsed, baseElapsed)
+	}
+	if events != baseEvents {
+		t.Fatalf("events %q, first run %q", events, baseEvents)
+	}
+	if ctrs != baseCounters {
+		t.Fatal("counters diverged between two runs")
+	}
 }
 
 // TestClusterTeamCountsLikeForkJoin proves the cluster forks through
