@@ -21,38 +21,42 @@ func TestCheckpointKillAtEveryBoundary(t *testing.T) {
 	o := Quick()
 	names := []string{"fig2", "tab1", "scalepar"} // scalepar exercises the PDES engine
 
-	// Uninterrupted reference, recording the checkpoint bytes at every
-	// boundary — these are the states a kill could leave.
-	var boundaries [][]byte
-	refOuts, refFinal, err := RunCheckpointed(context.Background(), names, o, nil,
-		func(c *snapshot.Checkpoint) error {
-			boundaries = append(boundaries, c.Encode())
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(boundaries) != len(names) {
-		t.Fatalf("%d boundary checkpoints for %d experiments", len(boundaries), len(names))
-	}
-	refBytes := refFinal.Encode()
+	// The sweep runs as subtest simpar1: the PDES engine runs every
+	// window on one lane, inline, so one width is the whole axis.
+	t.Run("simpar1", func(t *testing.T) {
+		// Uninterrupted reference, recording the checkpoint bytes at every
+		// boundary — these are the states a kill could leave.
+		var boundaries [][]byte
+		refOuts, refFinal, err := RunCheckpointed(context.Background(), names, o, nil,
+			func(c *snapshot.Checkpoint) error {
+				boundaries = append(boundaries, c.Encode())
+				return nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(boundaries) != len(names) {
+			t.Fatalf("%d boundary checkpoints for %d experiments", len(boundaries), len(names))
+		}
+		refBytes := refFinal.Encode()
 
-	for b, raw := range boundaries {
-		prior, err := snapshot.DecodeCheckpoint(raw)
-		if err != nil {
-			t.Fatalf("boundary %d: %v", b, err)
+		for b, raw := range boundaries {
+			prior, err := snapshot.DecodeCheckpoint(raw)
+			if err != nil {
+				t.Fatalf("boundary %d: %v", b, err)
+			}
+			outs, final, err := RunCheckpointed(context.Background(), names, o, prior, nil)
+			if err != nil {
+				t.Fatalf("resume from boundary %d: %v", b, err)
+			}
+			if got, want := strings.Join(outs, "\x00"), strings.Join(refOuts, "\x00"); got != want {
+				t.Fatalf("boundary %d: resumed outputs diverge from the uninterrupted run", b)
+			}
+			if !bytes.Equal(final.Encode(), refBytes) {
+				t.Fatalf("boundary %d: resumed final checkpoint is not byte-identical to the uninterrupted run's", b)
+			}
 		}
-		outs, final, err := RunCheckpointed(context.Background(), names, o, prior, nil)
-		if err != nil {
-			t.Fatalf("resume from boundary %d: %v", b, err)
-		}
-		if got, want := strings.Join(outs, "\x00"), strings.Join(refOuts, "\x00"); got != want {
-			t.Fatalf("boundary %d: resumed outputs diverge from the uninterrupted run", b)
-		}
-		if !bytes.Equal(final.Encode(), refBytes) {
-			t.Fatalf("boundary %d: resumed final checkpoint is not byte-identical to the uninterrupted run's", b)
-		}
-	}
+	})
 }
 
 // A checkpoint for a different spec (other names or options) must be
