@@ -63,7 +63,8 @@ test:
 race:
 	$(GO) test -race ./...
 
-# One testing.B benchmark per paper table/figure, plus the kernel-level
+# One testing.B benchmark per paper table/figure and the service's
+# cold-job compute step (BenchmarkColdJob), plus the kernel-level
 # microbenchmarks in internal/sim, the barrier episodes of both engines
 # in internal/threads and internal/parsim, and the 2M-body host stages
 # of Fig. 8 in internal/apps/nbody. The parsed ns/op + allocs/op land in

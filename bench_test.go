@@ -13,6 +13,7 @@ import (
 	"spp1000/internal/apps/nbody"
 	"spp1000/internal/apps/pic"
 	"spp1000/internal/apps/ppm"
+	"spp1000/internal/counters"
 	"spp1000/internal/experiments"
 	"spp1000/internal/load"
 	"spp1000/internal/microbench"
@@ -71,6 +72,22 @@ func BenchmarkFig4Message(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportMetric(rt.Micros(), "sim-us/global-RT")
+}
+
+// BenchmarkColdJob is the compute step of a cold sppd job: fig2, fig3
+// and fig4 at quick size with a counter collector attached, as the
+// service runs them. Run with -benchmem: machine set-up and counter
+// attachment, not simulated events, are most of its allocation.
+func BenchmarkColdJob(b *testing.B) {
+	col := counters.NewCollector()
+	counters.Attach(col)
+	defer counters.Detach(col)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := experiments.RunMany([]string{"fig2", "fig3", "fig4"}, experiments.Quick()); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkTab1C90PIC regenerates Table 1.

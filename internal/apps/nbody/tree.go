@@ -66,6 +66,7 @@ func plummerPositions(n int, seed uint64) *Bodies {
 	// and drawn holds every chunk, so task 0 never waits and the
 	// others cannot deadlock.
 	chunks := numChunks(n)
+	//simlint:allow determinism pool channel: hands drawn chunks, in order, to runner.Each tasks; host-side build, no simulator state
 	drawn := make(chan int, chunks)
 	// Neither the draws nor the transform fail, so neither does Each.
 	_ = runner.Each(1+chunks, func(task int) error {
@@ -77,11 +78,11 @@ func plummerPositions(n int, seed uint64) *Bodies {
 					b.Z[i] = 2 * math.Pi * r.Float64()
 					r.SkipNormals(3)
 				}
-				drawn <- c
+				drawn <- c //simlint:allow determinism draws are made in order by task 0 alone
 			}
 			return nil
 		}
-		c := <-drawn
+		c := <-drawn //simlint:allow determinism which task transforms a chunk cannot change its values
 		for i := c * chunkLen; i < min((c+1)*chunkLen, n); i++ {
 			// Radius from the cumulative mass profile.
 			u := b.X[i]
@@ -130,13 +131,15 @@ func SortMorton(b *Bodies) {
 	}
 	// One array per pool task. A task takes a scratch array from free
 	// and hands it back when done, so there is at most one per worker.
+	//simlint:allow determinism pool channel: recycles scratch arrays among runner.Each tasks; which array a task gets cannot change what it writes
 	free := make(chan []float64, runner.Workers())
 	for range cap(free) {
-		free <- nil
+		free <- nil //simlint:allow determinism seeds the scratch pool
 	}
 	arrays := [][]float64{b.X, b.Y, b.Z, b.M}
 	// The gather never fails, so neither does Each.
 	_ = runner.Each(len(arrays), func(k int) error {
+		//simlint:allow determinism scratch is overwritten before it is read
 		a, scratch := arrays[k], <-free
 		if scratch == nil {
 			scratch = make([]float64, len(a))
@@ -145,7 +148,7 @@ func SortMorton(b *Bodies) {
 			scratch[i] = a[r.idx]
 		}
 		copy(a, scratch)
-		free <- scratch
+		free <- scratch //simlint:allow determinism returns the scratch array to the pool
 		return nil
 	})
 }

@@ -10,6 +10,9 @@ import (
 	"spp1000/internal/topology"
 )
 
+// newCache returns one empty cache of the given geometry.
+func newCache(lines int) *Cache { return &NewSet(1, lines)[0] }
+
 func key(space uint32, line uint64) topology.LineKey {
 	return topology.LineKey{Space: topology.Space(space), Line: line}
 }
@@ -18,12 +21,12 @@ func key(space uint32, line uint64) topology.LineKey {
 // the event counts production reports for it.
 func counted(c *Cache) (*Cache, func(name string) int64) {
 	reg := counters.NewRegistry()
-	c.AttachCounters(reg.Group("cache"))
+	c.AttachCounters(NewHooks(reg.Group("cache")))
 	return c, func(name string) int64 { return reg.Snapshot().Counter("cache", name) }
 }
 
 func TestMissThenHit(t *testing.T) {
-	c, count := counted(New())
+	c, count := counted(newCache(topology.CacheLines))
 	if r := c.Access(key(1, 10), false); r.Hit {
 		t.Fatal("first access should miss")
 	}
@@ -36,7 +39,7 @@ func TestMissThenHit(t *testing.T) {
 }
 
 func TestWriteMarksDirty(t *testing.T) {
-	c := New()
+	c := newCache(topology.CacheLines)
 	c.Access(key(1, 10), true)
 	if !c.Dirty(key(1, 10)) {
 		t.Fatal("written line should be dirty")
@@ -48,7 +51,7 @@ func TestWriteMarksDirty(t *testing.T) {
 }
 
 func TestConflictEvictionWithWriteback(t *testing.T) {
-	c := NewWithLines(4)
+	c := newCache(4)
 	c.Access(key(1, 0), true)       // dirty
 	r := c.Access(key(1, 4), false) // same slot (4 % 4 == 0)
 	if r.Hit {
@@ -66,7 +69,7 @@ func TestConflictEvictionWithWriteback(t *testing.T) {
 }
 
 func TestDistinctSpacesDoNotAlias(t *testing.T) {
-	c := New()
+	c := newCache(topology.CacheLines)
 	c.Access(key(1, 10), false)
 	if c.Contains(key(2, 10)) {
 		t.Fatal("same line in a different space must be distinct")
@@ -74,7 +77,7 @@ func TestDistinctSpacesDoNotAlias(t *testing.T) {
 }
 
 func TestInvalidate(t *testing.T) {
-	c, count := counted(New())
+	c, count := counted(newCache(topology.CacheLines))
 	c.Access(key(1, 10), true)
 	present, dirty := c.Invalidate(key(1, 10))
 	if !present || !dirty {
@@ -93,17 +96,17 @@ func TestInvalidate(t *testing.T) {
 }
 
 func TestGeometry(t *testing.T) {
-	c := New()
+	c := newCache(topology.CacheLines)
 	if c.Lines() != topology.CacheLines {
 		t.Fatalf("default cache has %d lines, want %d", c.Lines(), topology.CacheLines)
 	}
 	if topology.CacheLines != 32768 {
 		t.Fatalf("1 MB / 32 B = 32768 lines, constant says %d", topology.CacheLines)
 	}
-	if n := unsafe.Sizeof(slot{}); n != 16 {
-		t.Fatalf("slot is %d bytes, want 16", n)
+	if n := unsafe.Sizeof(entry{}); n != 16 {
+		t.Fatalf("table entry is %d bytes, want 16", n)
 	}
-	if NewWithLines(0).Lines() != 1 {
+	if newCache(0).Lines() != 1 {
 		t.Fatal("degenerate geometry should clamp to one line")
 	}
 }
@@ -112,7 +115,7 @@ func TestGeometry(t *testing.T) {
 // hits; invalidating makes it miss again.
 func TestAccessInvalidateProperty(t *testing.T) {
 	prop := func(space uint16, line uint32, write bool) bool {
-		c := NewWithLines(64)
+		c := newCache(64)
 		k := key(uint32(space), uint64(line))
 		c.Access(k, write)
 		if !c.Contains(k) {
@@ -138,7 +141,7 @@ func TestAccessInvalidateProperty(t *testing.T) {
 // Property: hit+miss counts always equal total accesses.
 func TestStatsBalanceProperty(t *testing.T) {
 	prop := func(lines []uint8) bool {
-		c, count := counted(NewWithLines(8))
+		c, count := counted(newCache(8))
 		for _, l := range lines {
 			c.Access(key(0, uint64(l)), l%2 == 0)
 		}
@@ -151,6 +154,14 @@ func TestStatsBalanceProperty(t *testing.T) {
 
 // Lines reports the slot count.
 func (c *Cache) Lines() int { return int(c.lines) }
+
+// slot is one slot of the reference model.
+type slot struct {
+	line  uint64
+	space topology.Space
+	valid bool
+	dirty bool
+}
 
 // model is the reference cache: one flat, eagerly allocated slot array
 // with the same direct-mapped index formula, counting the same events
@@ -204,15 +215,15 @@ func (m *model) invalidate(k topology.LineKey) (present, dirty bool) {
 }
 
 // Property: on random Access/Contains/Dirty/Invalidate/Clean sequences,
-// the paged cache returns exactly what the flat reference model does,
-// for geometries below, at, and across page boundaries.
+// the table-backed cache returns exactly what the flat reference model
+// does, for power-of-two and other geometries, as the table grows.
 func TestMatchesFlatModel(t *testing.T) {
 	for _, lines := range []int{1, 7, 511, 512, 513, 4096, 32768} {
 		rng := rand.New(rand.NewSource(int64(lines)))
-		c, count := counted(NewWithLines(lines))
+		c, count := counted(newCache(lines))
 		m := &model{slots: make([]slot, lines), counts: map[string]int64{}}
 		// Draw keys from a window a few times the capacity so that hits,
-		// conflict evictions and untouched pages all occur.
+		// conflict evictions and untouched slots all occur.
 		span := uint64(3*lines + 5)
 		for op := 0; op < 20000; op++ {
 			k := key(uint32(rng.Intn(3)), rng.Uint64()%span)
@@ -252,10 +263,10 @@ func TestMatchesFlatModel(t *testing.T) {
 	}
 }
 
-// The read-only and coherence paths never allocate a page, and a hit
+// The read-only and coherence paths never make the table, and a hit
 // allocates nothing.
 func TestLookupsDoNotAllocate(t *testing.T) {
-	c := New()
+	c := newCache(topology.CacheLines)
 	untouched := key(1, 12345)
 	for name, fn := range map[string]func(){
 		"Contains":   func() { c.Contains(untouched) },
@@ -267,14 +278,39 @@ func TestLookupsDoNotAllocate(t *testing.T) {
 			t.Errorf("%s on an untouched line: %v allocs/op, want 0", name, n)
 		}
 	}
-	for i, p := range c.pages {
-		if p != nil {
-			t.Fatalf("page %d allocated by a read-only call", i)
-		}
+	if c.table != nil {
+		t.Fatalf("table of %d entries made by a read-only call", len(c.table))
 	}
 	hit := key(1, 10)
 	c.Access(hit, false)
 	if n := testing.AllocsPerRun(100, func() { c.Access(hit, true) }); n != 0 {
 		t.Errorf("Access hit: %v allocs/op, want 0", n)
+	}
+}
+
+// The table grows with the slots touched, not with the capacity: it
+// stays between 4/3 and 8/3 of the touched slots (its 3/4 load factor
+// and doubling), and refilling a slot reuses its entry.
+func TestTableTracksTouchedSlots(t *testing.T) {
+	c := newCache(topology.CacheLines)
+	// Each round's space shifts its lines by 7919 slots, so every round
+	// fills 100 fresh slots.
+	for round := 0; round < 3; round++ {
+		for i := uint64(0); i < 100; i++ {
+			c.Access(key(uint32(round), i*37), round == 1)
+		}
+	}
+	if c.used != 300 {
+		t.Fatalf("%d entries in use, want 300", c.used)
+	}
+	if n := len(c.table); 4*c.used > 3*n || n > 8*c.used/3+minTable {
+		t.Fatalf("table of %d entries for %d touched slots", n, c.used)
+	}
+	d := newCache(4)
+	for i := uint64(0); i < 1000; i++ {
+		d.Access(key(1, i), false)
+	}
+	if d.used != 4 || len(d.table) != minTable {
+		t.Fatalf("4-slot cache: %d entries in a table of %d, want 4 in %d", d.used, len(d.table), minTable)
 	}
 }

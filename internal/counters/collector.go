@@ -1,4 +1,4 @@
-//simlint:allow-file determinism merging is commutative and Snapshot sorts, so map iteration order cannot reach any output
+//simlint:allow-file determinism the Collector is the mutex-guarded cross-machine sink: merging is commutative and Snapshot sorts, so neither host scheduling nor map iteration order can reach any output
 
 package counters
 
@@ -29,20 +29,50 @@ func NewCollector() *Collector {
 	return &Collector{groups: make(map[string]*collGroup)}
 }
 
-// merge folds one group's delta into the collector. Caller holds c.mu.
-func (c *Collector) merge(group string, counters map[string]int64, hists map[string]HistogramValue) {
-	g, ok := c.groups[group]
+// group returns (creating on first use) the named group's totals.
+// Caller holds c.mu.
+func (c *Collector) group(name string) *collGroup {
+	g, ok := c.groups[name]
 	if !ok {
 		g = &collGroup{counters: make(map[string]int64), hists: make(map[string]HistogramValue)}
-		c.groups[group] = g
+		c.groups[name] = g
 	}
-	for name, v := range counters {
-		g.counters[name] += v
-	}
-	for name, hv := range hists {
-		cur := g.hists[name]
-		cur.merge(hv)
-		g.hists[name] = cur
+	return g
+}
+
+// add folds the registry's not-yet-published deltas into the totals;
+// a group with no nonzero delta leaves no trace. Caller holds c.mu.
+func (c *Collector) add(r *Registry) {
+	for _, g := range r.groups {
+		var cg *collGroup
+		for _, nc := range g.counters {
+			if d := nc.c.v - nc.c.flushed; d != 0 {
+				if cg == nil {
+					cg = c.group(g.name)
+				}
+				cg.counters[nc.name] += d
+			}
+		}
+		for _, nh := range g.hists {
+			h := nh.h
+			if h.cur.Count == h.flushed.Count {
+				continue
+			}
+			d := HistogramValue{
+				Count: h.cur.Count - h.flushed.Count,
+				Sum:   h.cur.Sum - h.flushed.Sum,
+				Max:   h.cur.Max, // max is monotonic; merge takes the larger
+			}
+			for i := range d.Buckets {
+				d.Buckets[i] = h.cur.Buckets[i] - h.flushed.Buckets[i]
+			}
+			if cg == nil {
+				cg = c.group(g.name)
+			}
+			cur := cg.hists[nh.name]
+			cur.merge(d)
+			cg.hists[nh.name] = cur
+		}
 	}
 }
 
@@ -115,42 +145,17 @@ func Publish(r *Registry) {
 	if len(sinks) == 0 {
 		return
 	}
-	for name, g := range r.groups {
-		var dc map[string]int64
-		for cn, c := range g.counters {
-			if d := c.v - c.flushed; d != 0 {
-				if dc == nil {
-					dc = make(map[string]int64)
-				}
-				dc[cn] = d
-				c.flushed = c.v
-			}
+	for _, sink := range sinks {
+		sink.mu.Lock()
+		sink.add(r)
+		sink.mu.Unlock()
+	}
+	for _, g := range r.groups {
+		for _, nc := range g.counters {
+			nc.c.flushed = nc.c.v
 		}
-		var dh map[string]HistogramValue
-		for hn, h := range g.hists {
-			d := HistogramValue{
-				Count: h.cur.Count - h.flushed.Count,
-				Sum:   h.cur.Sum - h.flushed.Sum,
-				Max:   h.cur.Max, // max is monotonic; merge takes the larger
-			}
-			for i := range d.Buckets {
-				d.Buckets[i] = h.cur.Buckets[i] - h.flushed.Buckets[i]
-			}
-			if d.Count != 0 {
-				if dh == nil {
-					dh = make(map[string]HistogramValue)
-				}
-				dh[hn] = d
-				h.flushed = h.cur
-			}
-		}
-		if dc == nil && dh == nil {
-			continue
-		}
-		for _, sink := range sinks {
-			sink.mu.Lock()
-			sink.merge(name, dc, dh)
-			sink.mu.Unlock()
+		for _, nh := range g.hists {
+			nh.h.flushed = nh.h.cur
 		}
 	}
 }

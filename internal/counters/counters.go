@@ -94,9 +94,24 @@ func (h *Histogram) Observe(v int64) {
 // cache.hn0 or sci). Asking twice for the same name returns the same
 // handle, so several sub-components may share one aggregated counter.
 // A nil Group hands out nil handles, which keeps the disabled path free.
+//
+// A group holds at most a few dozen names, so names and handles live in
+// slices searched linearly rather than in maps.
 type Group struct {
-	counters map[string]*Counter
-	hists    map[string]*Histogram
+	reg      *Registry
+	name     string
+	counters []namedCounter
+	hists    []namedHistogram
+}
+
+type namedCounter struct {
+	name string
+	c    *Counter
+}
+
+type namedHistogram struct {
+	name string
+	h    *Histogram
 }
 
 // Counter returns (creating on first use) the named counter in the
@@ -105,11 +120,16 @@ func (g *Group) Counter(name string) *Counter {
 	if g == nil {
 		return nil
 	}
-	c, ok := g.counters[name]
-	if !ok {
-		c = &Counter{}
-		g.counters[name] = c
+	for _, nc := range g.counters {
+		if nc.name == name {
+			return nc.c
+		}
 	}
+	if g.counters == nil {
+		g.counters = g.reg.cnames.take(groupCap, nameChunk)[:0]
+	}
+	c := &g.reg.counters.take(1, counterChunk)[0]
+	g.counters = append(g.counters, namedCounter{name, c})
 	return c
 }
 
@@ -119,11 +139,16 @@ func (g *Group) Histogram(name string) *Histogram {
 	if g == nil {
 		return nil
 	}
-	h, ok := g.hists[name]
-	if !ok {
-		h = &Histogram{}
-		g.hists[name] = h
+	for _, nh := range g.hists {
+		if nh.name == name {
+			return nh.h
+		}
 	}
+	if g.hists == nil {
+		g.hists = g.reg.hnames.take(groupHistCap, nameChunk)[:0]
+	}
+	h := &g.reg.hists.take(1, histChunk)[0]
+	g.hists = append(g.hists, namedHistogram{name, h})
 	return h
 }
 
@@ -132,13 +157,50 @@ func (g *Group) Histogram(name string) *Histogram {
 // construction — and a nil Registry hands out nil Groups, so a machine
 // without counters costs nothing. Cross-machine aggregation goes through
 // Collector sinks (see Publish).
+//
+// A machine has about fifty groups, kept in a slice searched linearly.
+// Groups, counters, histograms and each group's first name lists are
+// carved from registry-owned slabs, a chunk at a time, so handles stay
+// stable as the registry grows.
 type Registry struct {
-	groups map[string]*Group
+	groups   []*Group
+	gslab    slab[Group]
+	counters slab[Counter]
+	hists    slab[Histogram]
+	cnames   slab[namedCounter]
+	hnames   slab[namedHistogram]
+}
+
+// Slab chunk sizes, and the name capacities a group starts with: enough
+// for every group of one machine's components but the widest.
+const (
+	groupChunk   = 16
+	counterChunk = 64
+	histChunk    = 8
+	nameChunk    = 128
+	groupCap     = 8
+	groupHistCap = 2
+)
+
+// slab hands out zeroed values of T, allocated a chunk at a time; a
+// value never moves once handed out.
+type slab[T any] struct {
+	free []T // unused tail of the current chunk
+}
+
+// take returns the next n values, with capacity n.
+func (s *slab[T]) take(n, chunk int) []T {
+	if len(s.free) < n {
+		s.free = make([]T, max(n, chunk))
+	}
+	p := s.free[:n:n]
+	s.free = s.free[n:]
+	return p
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{groups: make(map[string]*Group)}
+	return &Registry{}
 }
 
 // Group returns (creating on first use) the named group. On a nil
@@ -147,11 +209,14 @@ func (r *Registry) Group(name string) *Group {
 	if r == nil {
 		return nil
 	}
-	g, ok := r.groups[name]
-	if !ok {
-		g = &Group{counters: make(map[string]*Counter), hists: make(map[string]*Histogram)}
-		r.groups[name] = g
+	for _, g := range r.groups {
+		if g.name == name {
+			return g
+		}
 	}
+	g := &r.gslab.take(1, groupChunk)[0]
+	*g = Group{reg: r, name: name}
+	r.groups = append(r.groups, g)
 	return g
 }
 
@@ -210,17 +275,14 @@ func (r *Registry) Snapshot() Snapshot {
 		return Snapshot{}
 	}
 	var s Snapshot
-	//simlint:allow determinism s.sort() below orders every group and entry by name before anything renders
-	for name, g := range r.groups {
-		gs := GroupSnapshot{Name: name}
-		//simlint:allow determinism s.sort() below orders every group and entry by name before anything renders
-		for cn, c := range g.counters {
-			gs.Counters = append(gs.Counters, CounterValue{Name: cn, Value: c.v})
+	for _, g := range r.groups {
+		gs := GroupSnapshot{Name: g.name}
+		for _, nc := range g.counters {
+			gs.Counters = append(gs.Counters, CounterValue{Name: nc.name, Value: nc.c.v})
 		}
-		//simlint:allow determinism s.sort() below orders every group and entry by name before anything renders
-		for hn, h := range g.hists {
-			hv := h.cur
-			hv.Name = hn
+		for _, nh := range g.hists {
+			hv := nh.h.cur
+			hv.Name = nh.name
 			gs.Histograms = append(gs.Histograms, hv)
 		}
 		s.Groups = append(s.Groups, gs)

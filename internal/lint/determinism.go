@@ -2,7 +2,9 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
+	"strconv"
 )
 
 // wallClockFuncs are the package-level time functions that read or act on
@@ -19,15 +21,20 @@ var wallClockFuncs = map[string]bool{
 // (time.Now and friends), any use of math/rand (the seeded internal/rng
 // stream is the only sanctioned randomness), iteration over maps (Go
 // randomizes the order, so ranges that feed simulator state or output
-// must sort first or justify themselves), and goroutine spawns (host
-// concurrency belongs in internal/runner; the kernel's Procs are
-// iter.Pull coroutines and need no exception, and the PDES coordinator
-// runs its partitions inline). In host packages only the wall-clock
-// check applies, so every legitimate host-side clock read
-// carries a visible //simlint:allow justification.
+// must sort first or justify themselves), and host concurrency:
+// goroutine spawns, channel makes, sends and receives, and imports of
+// sync. Host concurrency belongs in internal/runner; the kernel's Procs
+// are iter.Pull coroutines and need no exception, and the PDES
+// coordinator runs its partitions inline, so a worker layer fed by
+// channels cannot come back even with its goroutines started elsewhere.
+// sync/atomic stays legal: the process-wide totals and flags it holds
+// are order-independent sums read by host metrics, never simulator
+// state. In host packages only the wall-clock check applies, so every
+// legitimate host-side clock read carries a visible //simlint:allow
+// justification.
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc:  "forbid wall-clock reads, math/rand, map iteration, and goroutine spawns in sim-core packages (wall-clock reads also flagged in host packages)",
+	Doc:  "forbid wall-clock reads, math/rand, map iteration, goroutine spawns, channels and sync in sim-core packages (wall-clock reads also flagged in host packages)",
 	Run:  runDeterminism,
 }
 
@@ -44,11 +51,30 @@ func runDeterminism(pass *Pass) error {
 				if class == ClassSimCore {
 					pass.Reportf(n.Pos(), "goroutine spawned in sim-core package: host concurrency belongs in internal/runner")
 				}
+			case *ast.ImportSpec:
+				if path, _ := strconv.Unquote(n.Path.Value); path == "sync" && class == ClassSimCore {
+					pass.Reportf(n.Pos(), "sync imported in sim-core package: host concurrency belongs in internal/runner")
+				}
+			case *ast.CallExpr:
+				if class == ClassSimCore && isMakeChan(info, n) {
+					pass.Reportf(n.Pos(), "channel made in sim-core package: host concurrency belongs in internal/runner")
+				}
+			case *ast.SendStmt:
+				if class == ClassSimCore {
+					pass.Reportf(n.Pos(), "channel send in sim-core package: host concurrency belongs in internal/runner")
+				}
+			case *ast.UnaryExpr:
+				if class == ClassSimCore && n.Op == token.ARROW {
+					pass.Reportf(n.Pos(), "channel receive in sim-core package: host concurrency belongs in internal/runner")
+				}
 			case *ast.RangeStmt:
 				if class == ClassSimCore {
 					if t := info.TypeOf(n.X); t != nil {
-						if _, ok := t.Underlying().(*types.Map); ok {
+						switch t.Underlying().(type) {
+						case *types.Map:
 							pass.Reportf(n.Pos(), "map iteration order is nondeterministic: sort the keys first, or annotate why order cannot reach simulator state or output")
+						case *types.Chan:
+							pass.Reportf(n.Pos(), "channel receive in sim-core package: host concurrency belongs in internal/runner")
 						}
 					}
 				}
@@ -73,4 +99,21 @@ func runDeterminism(pass *Pass) error {
 		})
 	}
 	return nil
+}
+
+// isMakeChan reports whether call is make of a channel type.
+func isMakeChan(info *types.Info, call *ast.CallExpr) bool {
+	id, ok := call.Fun.(*ast.Ident)
+	if !ok || len(call.Args) == 0 {
+		return false
+	}
+	if b, ok := info.Uses[id].(*types.Builtin); !ok || b.Name() != "make" {
+		return false
+	}
+	t := info.TypeOf(call.Args[0])
+	if t == nil {
+		return false
+	}
+	_, ok = t.Underlying().(*types.Chan)
+	return ok
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"spp1000/internal/counters"
 	"spp1000/internal/sim"
 	"spp1000/internal/topology"
 )
@@ -175,6 +176,31 @@ func TestNewAllocatesLittle(t *testing.T) {
 	runtime.KeepAlive(m)
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 2<<20 {
 		t.Fatalf("machine.New(hn16) allocated %.2f MB, want < 2 MB", float64(got)/(1<<20))
+	}
+}
+
+// A cold machine with counters on pays for its PMU registry per
+// hypernode, not per CPU or per counter name: the caches of a hypernode
+// share one set of handles, and groups, counters and their names come
+// from slabs. The bounds sit just above what a build measures: 134
+// allocations, 50 KB at hn16.
+func TestColdMachineAllocs(t *testing.T) {
+	col := counters.NewCollector()
+	counters.Attach(col)
+	defer counters.Detach(col)
+	allocs := testing.AllocsPerRun(20, func() { built = MustNew(Config{Hypernodes: 16}) })
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	built = MustNew(Config{Hypernodes: 16})
+	runtime.ReadMemStats(&after)
+	if built.Counters == nil {
+		t.Fatal("machine built with a collector attached has no counter registry")
+	}
+	if allocs > 160 {
+		t.Errorf("machine.New(hn16) with counters: %.0f allocs, want ≤ 160", allocs)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Errorf("machine.New(hn16) with counters allocated %d B, want ≤ 64 KB", got)
 	}
 }
 

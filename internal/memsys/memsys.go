@@ -46,7 +46,7 @@ type Counters struct {
 type System struct {
 	Topo   topology.Topology
 	P      topology.Params
-	caches []*cache.Cache
+	caches []cache.Cache // one slab, indexed by CPU
 	dirs   []*directory.Directory
 	SCI    *sci.Protocol
 	Rings  *ring.Network
@@ -106,15 +106,18 @@ type memHooks struct {
 // groups (mem, sci, ring) keep their unqualified names and therefore sum
 // across partitions on merge, exactly as a monolithic machine would
 // count them.
+//
+// The eight caches of a hypernode share one cache.Hooks, so a
+// hypernode's cache counters are resolved once, not once per CPU.
 func (s *System) AttachCountersBase(r *counters.Registry, base int) {
-	for i, c := range s.caches {
-		c.AttachCounters(r.Group(fmt.Sprintf("cache.hn%d", base+topology.CPUID(i).Hypernode())))
-	}
-	for hn, d := range s.dirs {
-		d.AttachCounters(r.Group(fmt.Sprintf("directory.hn%d", base+hn)))
-	}
-	for hn, x := range s.xbars {
-		x.AttachCounters(r.Group(fmt.Sprintf("xbar.hn%d", base+hn)))
+	for hn := range s.dirs {
+		names := groupNames(base + hn)
+		h := cache.NewHooks(r.Group(names.cache))
+		for cpu := hn * topology.CPUsPerNode; cpu < (hn+1)*topology.CPUsPerNode; cpu++ {
+			s.caches[cpu].AttachCounters(h)
+		}
+		s.dirs[hn].AttachCounters(r.Group(names.directory))
+		s.xbars[hn].AttachCounters(r.Group(names.xbar))
 	}
 	s.SCI.AttachCounters(r.Group("sci"))
 	s.Rings.AttachCounters(r.Group("ring"))
@@ -135,6 +138,34 @@ func (s *System) AttachCountersBase(r *counters.Registry, base int) {
 	}
 }
 
+// hnGroups are the counter group names of one hypernode's components.
+type hnGroups struct{ cache, directory, xbar string }
+
+// hnGroupNames holds the group names of every hypernode number a
+// machine can have, built once rather than formatted per machine.
+var hnGroupNames = func() (t [topology.MaxHypernodes]hnGroups) {
+	for hn := range t {
+		t[hn] = makeGroupNames(hn)
+	}
+	return t
+}()
+
+func makeGroupNames(hn int) hnGroups {
+	return hnGroups{
+		cache:     fmt.Sprintf("cache.hn%d", hn),
+		directory: fmt.Sprintf("directory.hn%d", hn),
+		xbar:      fmt.Sprintf("xbar.hn%d", hn),
+	}
+}
+
+// groupNames returns the group names of global hypernode hn.
+func groupNames(hn int) hnGroups {
+	if hn >= 0 && hn < len(hnGroupNames) {
+		return hnGroupNames[hn]
+	}
+	return makeGroupNames(hn)
+}
+
 // DefaultBufferLines is the default per-hypernode global-buffer
 // capacity: 2 MB out of each functional unit's memory × 4 FUs.
 const DefaultBufferLines = 4 * (2 << 20) / topology.CacheLineBytes
@@ -144,14 +175,10 @@ const DefaultBufferLines = 4 * (2 << 20) / topology.CacheLineBytes
 func New(topo topology.Topology, p topology.Params, cacheLines int) *System {
 	s := &System{Topo: topo, P: p}
 	n := topo.NumCPUs()
-	s.caches = make([]*cache.Cache, n)
-	for i := range s.caches {
-		if cacheLines > 0 {
-			s.caches[i] = cache.NewWithLines(cacheLines)
-		} else {
-			s.caches[i] = cache.New()
-		}
+	if cacheLines <= 0 {
+		cacheLines = topology.CacheLines
 	}
+	s.caches = cache.NewSet(n, cacheLines)
 	s.dirs = make([]*directory.Directory, topo.Hypernodes)
 	s.xbars = make([]*xbar.Crossbar, topo.Hypernodes)
 	s.banks = make([][]sim.Resource, topo.Hypernodes)
@@ -214,17 +241,16 @@ func (s *System) AccessInto(now sim.Cycles, cpu topology.CPUID, sp topology.Spac
 	s.ctr.accesses.Inc()
 	t0 := now
 
-	c := s.caches[cpu]
+	c := &s.caches[cpu]
 	myHN := cpu.Hypernode()
 	home := s.Home(sp, addr, cpu)
 
 	// Fast path: cache hit. A write hit still needs exclusivity if the
 	// line is shared elsewhere.
-	if c.Contains(key) {
+	if served, present := c.Hit(key, write); present {
 		s.stats.Hits++
 		s.ctr.hits.Inc()
-		if !write || c.Dirty(key) {
-			c.Access(key, write)
+		if served {
 			return Report{Done: now + sim.Cycles(s.P.CacheHit), Invalidated: inv}
 		}
 		// Write to a shared (clean) cached line: upgrade.

@@ -40,13 +40,24 @@ type Network struct {
 // counts. A nil group detaches.
 func (n *Network) AttachCounters(g *counters.Group) {
 	n.ctr = hooks{attached: g != nil}
-	for i := 0; i < topology.NumRings; i++ {
-		n.ctr.packets[i] = g.Counter(fmt.Sprintf("r%d.packets", i))
-		n.ctr.busy[i] = g.Counter(fmt.Sprintf("r%d.busy_cycles", i))
-		n.ctr.queue[i] = g.Counter(fmt.Sprintf("r%d.queue_cycles", i))
+	for i, names := range linkNames {
+		n.ctr.packets[i] = g.Counter(names.packets)
+		n.ctr.busy[i] = g.Counter(names.busy)
+		n.ctr.queue[i] = g.Counter(names.queue)
 	}
 	n.ctr.hops = g.Histogram("hops")
 }
+
+// linkNames are the per-link counter names, built once rather than
+// formatted per machine.
+var linkNames = func() (t [topology.NumRings]struct{ packets, busy, queue string }) {
+	for i := range t {
+		t[i].packets = fmt.Sprintf("r%d.packets", i)
+		t[i].busy = fmt.Sprintf("r%d.busy_cycles", i)
+		t[i].queue = fmt.Sprintf("r%d.queue_cycles", i)
+	}
+	return t
+}()
 
 // New returns an idle ring network.
 func New(topo topology.Topology, params topology.Params) *Network {

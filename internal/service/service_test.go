@@ -388,8 +388,11 @@ func TestCancelRunningJobStopsIt(t *testing.T) {
 func TestShutdownDrainsRunningJobs(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{})
+	// A fig3 submission can be accepted before Shutdown starts draining;
+	// the drain then runs it too, so only the first run signals started.
+	var once sync.Once
 	s := New(Config{Run: func(ctx context.Context, spec experiments.Spec) (string, error) {
-		close(started)
+		once.Do(func() { close(started) })
 		<-release
 		return "drained", nil
 	}})
@@ -408,10 +411,14 @@ func TestShutdownDrainsRunningJobs(t *testing.T) {
 
 	// Draining: new submissions are refused...
 	deadline := time.Now().Add(5 * time.Second)
+	var accepted []string // fig3 jobs submitted before draining began
 	for {
-		_, code := submit(t, ts, `{"experiments":["fig3"],"quick":true}`)
+		w, code := submit(t, ts, `{"experiments":["fig3"],"quick":true}`)
 		if code == http.StatusServiceUnavailable {
 			break
+		}
+		if code < 300 {
+			accepted = append(accepted, w.ID)
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("submissions never started draining")
@@ -423,9 +430,12 @@ func TestShutdownDrainsRunningJobs(t *testing.T) {
 	if err := <-shutdownErr; err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
-	res, _, err := s.Result(v.ID)
-	if err != nil || res != "drained" {
-		t.Fatalf("after drain: %q, %v", res, err)
+	// ...and so does every job accepted before draining began.
+	for _, id := range append([]string{v.ID}, accepted...) {
+		res, _, err := s.Result(id)
+		if err != nil || res != "drained" {
+			t.Fatalf("job %s after drain: %q, %v", id, res, err)
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 package threads
 
 import (
-	"fmt"
+	"strconv"
 
 	"spp1000/internal/machine"
 	"spp1000/internal/sim"
@@ -74,7 +74,7 @@ func ForkJoinVia(d Dispatcher, topo topology.Topology, parent *machine.Thread, n
 			g.Counter("spawn_local").Inc()
 		}
 		tid := tid
-		d.Launch(parent.Now()+spawn, fmt.Sprintf("t%d", tid), cpu, func(th *machine.Thread) {
+		d.Launch(parent.Now()+spawn, childName(tid), cpu, func(th *machine.Thread) {
 			children[tid] = th
 			if saturated && tid == 0 {
 				th.SetSlowdown(p.OSIntrusion)
@@ -92,6 +92,23 @@ func ForkJoinVia(d Dispatcher, topo topology.Topology, parent *machine.Thread, n
 	parent.Delay(sim.Cycles(int64(n) * p.JoinPerThread))
 	g.Counter("joins").Inc()
 	return children
+}
+
+// childNames are the names of the first children of a team (t0, t1,
+// …), built once rather than formatted per fork.
+var childNames = func() (t [topology.MaxHypernodes * topology.CPUsPerNode]string) {
+	for i := range t {
+		t[i] = "t" + strconv.Itoa(i)
+	}
+	return t
+}()
+
+// childName names child tid of a team.
+func childName(tid int) string {
+	if tid < len(childNames) {
+		return childNames[tid]
+	}
+	return "t" + strconv.Itoa(tid)
 }
 
 // RunTeam is the common harness entry point: it builds the machine's
